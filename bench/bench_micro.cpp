@@ -41,6 +41,48 @@ Dnf randomDnf(Prng &Rng, unsigned NumCubes, unsigned NumAtoms,
   return Dnf::fromCubes(std::move(Cubes));
 }
 
+/// Escape-shaped formula: \p NumCubes cubes of about \p CubeLen literals
+/// over three-valued locations (atom = 3 * location + value), drawn as
+/// one-location variants of a base cube so refinement has negatives to
+/// rewrite and the merge rules have partners to find, as in the
+/// thread-escape client's step formulas (about 14 cubes of 29 literals).
+Dnf escapeShapedDnf(Prng &Rng, unsigned NumCubes, unsigned CubeLen) {
+  auto Constrain = [&Rng](unsigned Loc, std::vector<Lit> &Out) {
+    auto V = static_cast<formula::AtomId>(Rng.nextBelow(3));
+    uint64_t Kind = Rng.nextBelow(20);
+    if (Kind < 12) {
+      Out.push_back(Lit::pos(3 * Loc + V));
+      return;
+    }
+    Out.push_back(Lit::neg(3 * Loc + V));
+    if (Kind >= 17) // two excluded values: refinement makes it positive
+      Out.push_back(Lit::neg(3 * Loc + (V + 1) % 3));
+  };
+  std::vector<Lit> Base;
+  for (unsigned Loc = 0; Base.size() < CubeLen; ++Loc)
+    Constrain(Loc, Base);
+  std::vector<Cube> Cubes;
+  while (Cubes.size() < NumCubes) {
+    auto Loc = static_cast<unsigned>(Rng.nextBelow(CubeLen));
+    std::vector<Lit> Lits;
+    for (Lit L : Base)
+      if (L.atom() / 3 != Loc)
+        Lits.push_back(L);
+    Constrain(Loc, Lits);
+    if (auto C = Cube::make(std::move(Lits)))
+      Cubes.push_back(std::move(*C));
+  }
+  return Dnf::fromCubes(std::move(Cubes));
+}
+
+std::optional<formula::LocationInfo> threeValued(formula::AtomId A) {
+  formula::LocationInfo Info;
+  uint32_t Idx = A / 3;
+  for (uint32_t V = 0; V < 3; ++V)
+    Info.Values.push_back(Idx * 3 + V);
+  return Info;
+}
+
 void BM_DnfProduct(benchmark::State &State) {
   Prng Rng(1);
   Dnf A = randomDnf(Rng, 16, 24, 3);
@@ -66,26 +108,49 @@ void BM_DnfSimplify(benchmark::State &State) {
 BENCHMARK(BM_DnfSimplify);
 
 void BM_SemanticNormalize(benchmark::State &State) {
-  // Escape-shaped atoms: 8 three-valued locations.
-  formula::LocationFn Loc = [](formula::AtomId A) {
-    uint32_t Idx = A / 3;
-    formula::LocationInfo Info;
-    for (uint32_t V = 0; V < 3; ++V)
-      Info.Values.push_back(Idx * 3 + V);
-    return std::optional<formula::LocationInfo>(Info);
-  };
-  formula::CubeRefiner Refine = [&Loc](const Cube &C) {
-    return formula::refineCubeByLocations(C, Loc);
-  };
+  // Short cubes: 32 cubes of at most 4 literals over 8 three-valued
+  // locations.
+  formula::LocationTable Locs(threeValued);
   Prng Rng(3);
   Dnf D = randomDnf(Rng, 32, 24, 4);
   for (auto _ : State) {
     Dnf Copy = D;
-    formula::semanticNormalize(Copy, Refine, Loc);
+    formula::semanticNormalize(Copy, nullptr, Locs);
     benchmark::DoNotOptimize(Copy);
   }
 }
 BENCHMARK(BM_SemanticNormalize);
+
+void BM_SemanticNormalizeEscapeShaped(benchmark::State &State) {
+  // The thread-escape client's typical normalize input: about 14 cubes of
+  // about 29 literals.
+  formula::LocationTable Locs(threeValued);
+  Prng Rng(5);
+  Dnf D = escapeShapedDnf(Rng, 14, 29);
+  for (auto _ : State) {
+    Dnf Copy = D;
+    formula::semanticNormalize(Copy, nullptr, Locs);
+    benchmark::DoNotOptimize(Copy);
+  }
+}
+BENCHMARK(BM_SemanticNormalizeEscapeShaped);
+
+void BM_RefineCube(benchmark::State &State) {
+  // Location refinement of 14 escape-shaped cubes of about 29 literals
+  // (timing includes copying each cube, as semanticNormalize's callers
+  // hand it a fresh formula).
+  formula::LocationTable Locs(threeValued);
+  Prng Rng(6);
+  Dnf D = escapeShapedDnf(Rng, 14, 29);
+  for (auto _ : State) {
+    for (const Cube &C : D.cubes()) {
+      Cube Copy = C;
+      benchmark::DoNotOptimize(formula::refineCubeByLocations(Copy, Locs));
+      benchmark::DoNotOptimize(Copy);
+    }
+  }
+}
+BENCHMARK(BM_RefineCube);
 
 void BM_MinCostSolve(benchmark::State &State) {
   Prng Rng(4);

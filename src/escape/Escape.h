@@ -121,14 +121,12 @@ public:
   bool isParamAtom(formula::AtomId A) const;
   std::string atomName(formula::AtomId A) const;
 
-  /// Semantic normalization hooks: every variable/field holds exactly one
+  /// Semantic normalization hook: every variable/field holds exactly one
   /// of N/L/E, and every site maps to exactly one of L/E; these locations
-  /// let the meta-analysis keep formulas as compact as Figure 11's.
+  /// let the meta-analysis keep formulas as compact as Figure 11's. They
+  /// are the whole of this client's cube refinement, so it declares no
+  /// refineCube.
   std::optional<formula::LocationInfo> atomLocation(formula::AtomId A) const;
-  std::optional<formula::Cube> refineCube(const formula::Cube &C) const {
-    return formula::refineCubeByLocations(
-        C, [this](formula::AtomId A) { return atomLocation(A); });
-  }
 
   //===--- parameter codec --------------------------------------------------===
   uint32_t numParamBits() const { return P.numAllocs(); }

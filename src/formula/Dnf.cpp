@@ -3,6 +3,7 @@
 #include "formula/Dnf.h"
 
 #include "support/Budget.h"
+#include "support/FlatIndex.h"
 #include "support/Invariants.h"
 #include "support/Metrics.h"
 
@@ -12,17 +13,34 @@ namespace optabs {
 namespace formula {
 
 std::optional<Cube> Cube::make(std::vector<Lit> Lits) {
-  std::sort(Lits.begin(), Lits.end());
-  Lits.erase(std::unique(Lits.begin(), Lits.end()), Lits.end());
-  // Complementary literals of one atom are adjacent after sorting.
-  for (size_t I = 0; I + 1 < Lits.size(); ++I)
-    if (Lits[I].atom() == Lits[I + 1].atom())
-      return std::nullopt;
   Cube C;
-  C.Lits.assign(Lits.data(), Lits.size());
-  for (Lit L : Lits)
-    C.Sig |= sigBit(L.atom());
+  if (!C.reset(Lits.data(), Lits.data() + Lits.size()))
+    return std::nullopt;
   return C;
+}
+
+bool Cube::reset(Lit *Begin, Lit *End) {
+  std::sort(Begin, End);
+  End = std::unique(Begin, End);
+  // Complementary literals of one atom are adjacent after sorting.
+  for (Lit *P = Begin; P + 1 < End; ++P)
+    if (P->atom() == P[1].atom())
+      return false;
+  Lits.assign(Begin, static_cast<size_t>(End - Begin));
+  Sig = 0;
+  for (Lit *P = Begin; P != End; ++P)
+    Sig |= sigBit(P->atom());
+  return true;
+}
+
+void Cube::remove(Lit L) {
+  const Lit *Pos = std::lower_bound(Lits.begin(), Lits.end(), L);
+  assert(Pos != Lits.end() && *Pos == L);
+  Lits.erase(static_cast<size_t>(Pos - Lits.begin()));
+  // Another atom may share L's signature bit, so recompute.
+  Sig = 0;
+  for (Lit X : Lits)
+    Sig |= sigBit(X.atom());
 }
 
 std::optional<Cube> Cube::conjoin(const Cube &A, const Cube &B) {
@@ -30,9 +48,11 @@ std::optional<Cube> Cube::conjoin(const Cube &A, const Cube &B) {
     return B;
   if (B.isTrue())
     return A;
-  Cube R;
-  R.Lits.reserve(A.Lits.size() + B.Lits.size());
-  R.Sig = A.Sig | B.Sig;
+  // Merge into per-thread scratch first: a contradiction then costs no
+  // allocation, and the result is allocated once at its exact size.
+  thread_local std::vector<Lit> Merged;
+  Merged.resize(A.Lits.size() + B.Lits.size());
+  Lit *Out = Merged.data();
   const Lit *PA = A.Lits.begin(), *EA = A.Lits.end();
   const Lit *PB = B.Lits.begin(), *EB = B.Lits.end();
   if ((A.Sig & B.Sig) == 0) {
@@ -40,27 +60,41 @@ std::optional<Cube> Cube::conjoin(const Cube &A, const Cube &B) {
     // share a signature bit), so neither duplicates nor complementary pairs
     // can arise - a plain unchecked merge suffices.
     while (PA != EA && PB != EB)
-      R.Lits.push_back(*PB < *PA ? *PB++ : *PA++);
+      *Out++ = *PB < *PA ? *PB++ : *PA++;
   } else {
     while (PA != EA && PB != EB) {
       if (*PA == *PB) {
-        R.Lits.push_back(*PA);
+        *Out++ = *PA;
         ++PA;
         ++PB;
       } else if (PA->atom() == PB->atom()) {
         return std::nullopt; // a and !a: contradiction
       } else {
-        R.Lits.push_back(*PB < *PA ? *PB++ : *PA++);
+        *Out++ = *PB < *PA ? *PB++ : *PA++;
       }
     }
   }
   // Both inputs are sorted and duplicate-free, so the merged tail needs no
   // further checks.
-  for (; PA != EA; ++PA)
-    R.Lits.push_back(*PA);
-  for (; PB != EB; ++PB)
-    R.Lits.push_back(*PB);
+  Out = std::copy(PA, EA, Out);
+  Out = std::copy(PB, EB, Out);
+  Cube R;
+  R.Lits.assign(Merged.data(), static_cast<size_t>(Out - Merged.data()));
+  R.Sig = A.Sig | B.Sig;
   return R;
+}
+
+bool Cube::add(Lit L) {
+  const Lit *Pos = std::lower_bound(Lits.begin(), Lits.end(), L.atom() << 1,
+                                    [](Lit X, uint32_t Raw) {
+                                      return X.raw() < Raw;
+                                    });
+  size_t I = static_cast<size_t>(Pos - Lits.begin());
+  if (I < Lits.size() && Lits[I].atom() == L.atom())
+    return Lits[I] == L; // already present, or contradicted by !L
+  Lits.insert(I, L);
+  Sig |= sigBit(L.atom());
+  return true;
 }
 
 bool Cube::implies(const Cube &Other) const {
@@ -74,28 +108,59 @@ bool Cube::implies(const Cube &Other) const {
 }
 
 void Dnf::sortBySize() {
+  if (Cubes.size() < 2)
+    return;
+  // Products of overlapping cubes repeat cubes many times over, and equal
+  // cubes are the costliest pairs to compare. Drop duplicates by hash
+  // first (keeping the first copy; copies are equal, so which one stays
+  // does not matter), then sort the distinct cubes.
+  thread_local support::FlatIndex Seen;
+  Seen.clear();
+  Seen.reserve(Cubes.size());
+  size_t Kept = 0;
+  for (size_t I = 0; I < Cubes.size(); ++I) {
+    // Signature and literal sum: cheap, and collisions only cost an
+    // exact comparison.
+    uint64_t Sum = 0;
+    for (Lit L : Cubes[I].literals())
+      Sum += L.raw();
+    uint64_t H = Cubes[I].signature() ^ (Sum * 0x9e3779b97f4a7c15ULL);
+    bool Duplicate = false;
+    Seen.forEach(H, [&](uint32_t J) { Duplicate |= Cubes[J] == Cubes[I]; });
+    if (Duplicate)
+      continue;
+    if (Kept != I)
+      Cubes[Kept] = std::move(Cubes[I]);
+    Seen.insert(H, static_cast<uint32_t>(Kept));
+    ++Kept;
+  }
+  Cubes.erase(Cubes.begin() + Kept, Cubes.end());
   std::sort(Cubes.begin(), Cubes.end(), [](const Cube &A, const Cube &B) {
     if (A.size() != B.size())
       return A.size() < B.size();
     return A.literals() < B.literals();
   });
-  Cubes.erase(std::unique(Cubes.begin(), Cubes.end()), Cubes.end());
 }
 
 void Dnf::simplify() {
-  std::vector<Cube> Kept;
-  for (Cube &Candidate : Cubes) {
+  // Cubes[0, Kept) are the survivors so far; each candidate is checked
+  // against them and moved down when it survives.
+  size_t Kept = 0;
+  for (size_t I = 0; I < Cubes.size(); ++I) {
     bool Subsumed = false;
-    for (const Cube &Earlier : Kept) {
-      if (Candidate.implies(Earlier)) {
+    for (size_t J = 0; J < Kept; ++J) {
+      if (Cubes[I].implies(Cubes[J])) {
         Subsumed = true;
         break;
       }
     }
-    if (!Subsumed)
-      Kept.push_back(std::move(Candidate));
+    if (Subsumed)
+      continue;
+    if (Kept != I)
+      Cubes[Kept] = std::move(Cubes[I]);
+    ++Kept;
   }
-  Cubes = std::move(Kept);
+  Cubes.erase(Cubes.begin() + Kept, Cubes.end());
 }
 
 void Dnf::dropK(unsigned K, const AtomEval &Eval,
@@ -122,16 +187,15 @@ void Dnf::dropK(unsigned K, const AtomEval &Eval,
       break;
     }
   }
-  std::vector<Cube> Kept(Cubes.begin(), Cubes.begin() + K);
   if (!HaveSatisfied) {
     // A satisfied cube must be retained but none sits in the prefix: trade
     // the K-th cube for the shortest satisfied one beyond it (cubes are
     // sorted by size, so the first satisfied one is the shortest).
-    Kept.pop_back();
     bool Found = false;
     for (size_t I = K - 1; I < Cubes.size(); ++I) {
       if (Cubes[I].eval(Eval)) {
-        Kept.push_back(Cubes[I]);
+        if (I != K - 1)
+          Cubes[K - 1] = std::move(Cubes[I]);
         Found = true;
         break;
       }
@@ -147,10 +211,9 @@ void Dnf::dropK(unsigned K, const AtomEval &Eval,
           "no disjunct of the " + std::to_string(Cubes.size()) +
               "-cube formula is satisfied by the current (p, d); Theorem 3 "
               "progress guarantee lost");
-      Kept.push_back(Cubes[K - 1]);
     }
   }
-  Cubes = std::move(Kept);
+  Cubes.erase(Cubes.begin() + K, Cubes.end());
 }
 
 void Dnf::approx(unsigned K, const AtomEval &Eval,
@@ -161,14 +224,29 @@ void Dnf::approx(unsigned K, const AtomEval &Eval,
     dropK(K, Eval, Sink);
 }
 
+void Dnf::conjoinLit(Lit L) {
+  size_t Kept = 0;
+  for (size_t I = 0; I < Cubes.size(); ++I) {
+    if (!Cubes[I].add(L))
+      continue;
+    if (Kept != I)
+      Cubes[Kept] = std::move(Cubes[I]);
+    ++Kept;
+  }
+  Cubes.erase(Cubes.begin() + Kept, Cubes.end());
+}
+
 void Dnf::orWith(const Dnf &Other) {
   Cubes.insert(Cubes.end(), Other.Cubes.begin(), Other.Cubes.end());
 }
 
-Dnf Dnf::product(const Dnf &A, const Dnf &B, size_t SoftCap,
-                 const AtomEval &Eval, support::InvariantSink *Sink,
-                 support::BudgetGate *Gate) {
-  Dnf Result;
+void Dnf::orWith(Dnf &&Other) {
+  Cubes.insert(Cubes.end(), std::make_move_iterator(Other.Cubes.begin()),
+               std::make_move_iterator(Other.Cubes.end()));
+}
+
+bool Dnf::chargeProduct(size_t Terms, support::InvariantSink *Sink,
+                        support::BudgetGate *Gate) {
   if (support::faultsEnabled()) {
     // This site runs under the caller's gate (if any), so armed faults are
     // consulted by name here: Alloc throws from faultPoint itself;
@@ -180,15 +258,21 @@ Dnf Dnf::product(const Dnf &A, const Dnf &B, size_t SoftCap,
       Gate->exhaust(support::Resource::Cancelled);
     }
   }
-  if (Gate) {
-    // Charge the full cross-product size up front: the cost of this call is
-    // |A| * |B| conjunctions whether or not they survive pruning, and the
-    // count is schedule-independent, so a step budget trips here at the
-    // same term on every NumThreads. An exhausted gate yields false — a
-    // sound under-approximation, flagged to the caller via the gate itself.
-    if (!Gate->charge(A.Cubes.size() * B.Cubes.size()))
-      return Result;
-  }
+  // Charge the full cross-product size up front: the cost of a product is
+  // |A| * |B| conjunctions whether or not they survive pruning, and the
+  // count is schedule-independent, so a step budget trips here at the
+  // same term on every NumThreads.
+  return !Gate || Gate->charge(Terms);
+}
+
+Dnf Dnf::product(const Dnf &A, const Dnf &B, size_t SoftCap,
+                 const AtomEval &Eval, support::InvariantSink *Sink,
+                 support::BudgetGate *Gate) {
+  Dnf Result;
+  // An exhausted gate yields false — a sound under-approximation, flagged
+  // to the caller via the gate itself.
+  if (!chargeProduct(A.Cubes.size() * B.Cubes.size(), Sink, Gate))
+    return Result;
   // Reserve for the full cross product, clamped so a huge (soon-pruned)
   // product does not balloon the allocation.
   size_t Hint = A.Cubes.size() * B.Cubes.size();

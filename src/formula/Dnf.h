@@ -80,11 +80,12 @@ private:
 };
 
 /// A small-size-optimized literal array: up to InlineCap literals live
-/// inside the object, larger cubes spill to the heap. Cubes in this
-/// codebase are overwhelmingly short (a handful of atoms constrain one
-/// trace step), so the inline path removes the per-cube heap allocation
-/// std::vector paid on every conjoin/copy in Dnf::product. Exposes the
-/// read-only slice of the std::vector interface that Cube's clients use.
+/// inside the object, larger cubes spill to the heap. Wp DNFs and short
+/// formulas fit inline; the thread-escape client's step formulas do not
+/// (their cubes average about 29 literals), so in-place updates (assign,
+/// erase) reuse the existing buffer instead of building a new array.
+/// Exposes the read-only slice of the std::vector interface that Cube's
+/// clients use.
 class LitVec {
 public:
   static constexpr uint32_t InlineCap = 6;
@@ -153,6 +154,23 @@ public:
   /// Replaces the contents with \p N literals from \p Src.
   void assign(const Lit *Src, size_t N) { assignRaw(Src, N); }
 
+  /// Inserts \p L before index \p I.
+  void insert(size_t I, Lit L) {
+    if (Count == Cap)
+      grow(Cap * 2);
+    Lit *D = mutableData();
+    std::memmove(D + I + 1, D + I, (Count - I) * sizeof(Lit));
+    D[I] = L;
+    ++Count;
+  }
+
+  /// Removes the literal at index \p I, keeping the order of the rest.
+  void erase(size_t I) {
+    Lit *D = mutableData();
+    std::memmove(D + I, D + I + 1, (Count - I - 1) * sizeof(Lit));
+    --Count;
+  }
+
   friend bool operator==(const LitVec &A, const LitVec &B) {
     return A.Count == B.Count &&
            std::memcmp(A.data(), B.data(), A.Count * sizeof(Lit)) == 0;
@@ -197,7 +215,8 @@ private:
   void assignRaw(const Lit *Src, size_t N) {
     if (N > Cap)
       grow(static_cast<uint32_t>(N));
-    std::memcpy(mutableData(), Src, N * sizeof(Lit));
+    if (N > 0) // Src may be null when N is 0 (an empty vector's data())
+      std::memcpy(mutableData(), Src, N * sizeof(Lit));
     Count = static_cast<uint32_t>(N);
   }
 
@@ -219,6 +238,19 @@ public:
 
   /// Normalizes \p Lits; returns nullopt if they contain a and !a.
   static std::optional<Cube> make(std::vector<Lit> Lits);
+
+  /// Replaces this cube's literals with the normalized contents of
+  /// [Begin, End), which is sorted and deduplicated in place; reuses the
+  /// cube's buffer. Returns false (leaving the cube unspecified) when the
+  /// range contains a and !a.
+  bool reset(Lit *Begin, Lit *End);
+
+  /// Removes \p L, which must occur in the cube.
+  void remove(Lit L);
+
+  /// Conjoins \p L in place: the result of conjoin(*this, {L}). Returns
+  /// false (leaving the cube unchanged) when the cube holds !L.
+  bool add(Lit L);
 
   /// Conjunction of two cubes; nullopt if contradictory. Both inputs are
   /// sorted by construction, so this is a linear merge - no re-sort.
@@ -267,7 +299,7 @@ public:
   }
   static Dnf singleLit(Lit L) {
     Dnf D;
-    D.Cubes.push_back(*Cube::make({L}));
+    D.Cubes.emplace_back().reset(&L, &L + 1);
     return D;
   }
   static Dnf fromCubes(std::vector<Cube> Cubes) {
@@ -302,6 +334,7 @@ public:
 
   /// Figure 8 simplify: removes disjunct i when some earlier disjunct j < i
   /// implies it. Assumes sortBySize() was applied; keeps the order.
+  /// Compacts in place.
   void simplify();
 
   /// Figure 8 dropk: under-approximates to at most K disjuncts. When one of
@@ -320,8 +353,13 @@ public:
   void approx(unsigned K, const AtomEval &Eval,
               support::InvariantSink *Sink = nullptr);
 
+  /// Conjoins \p L into every cube in place, dropping the cubes that hold
+  /// !L: the same cubes, in the same order, as product(*this, singleLit(L)).
+  void conjoinLit(Lit L);
+
   /// Disjunction (concatenates cube lists; call approx/simplify after).
   void orWith(const Dnf &Other);
+  void orWith(Dnf &&Other);
 
   /// Distributes (this AND Other) into DNF. \p SoftCap bounds the number of
   /// result cubes before pruning: when exceeded, cubes satisfied under
@@ -338,6 +376,14 @@ public:
                      const AtomEval &Eval,
                      support::InvariantSink *Sink = nullptr,
                      support::BudgetGate *Gate = nullptr);
+
+  /// What product() does before building any term: consults the
+  /// "dnf.product" fault site and charges \p Terms conjunctions to \p Gate.
+  /// Returns false when the gate is exhausted. A caller that computes a
+  /// product without calling product() calls this once per product, so
+  /// step budgets and injected faults fire at the same point either way.
+  static bool chargeProduct(size_t Terms, support::InvariantSink *Sink,
+                            support::BudgetGate *Gate);
 
   /// Structural equality of the cube lists (order-sensitive; two Dnfs that
   /// went through the same normalization pipeline compare equal iff they

@@ -169,10 +169,24 @@ Dnf Formula::toDnf() const {
     return Result;
   }
   case Kind::And: {
+    // Distribute kid by kid: a literal kid conjoins into every cube in
+    // place, any other kid is multiplied in. The result, sorted and
+    // simplified, is the set of subset-minimal cubes of the full product.
+    // Dropping subsumed cubes after each product leaves that set as it is
+    // (a cube's extensions are subsumed by its subsumer's extensions, or
+    // contradict when they do), and keeps negated case lists - products
+    // of many small disjunctions - from growing exponentially.
     Dnf Result = Dnf::constTrue();
     AtomEval Unused;
-    for (const Formula &Kid : children())
+    for (const Formula &Kid : children()) {
+      if (Kid.kind() == Kind::Literal) {
+        Result.conjoinLit(Kid.literal());
+        continue;
+      }
       Result = Dnf::product(Result, Kid.toDnf(), /*SoftCap=*/0, Unused);
+      Result.sortBySize();
+      Result.simplify();
+    }
     Result.sortBySize();
     Result.simplify();
     return Result;

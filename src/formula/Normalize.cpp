@@ -2,82 +2,134 @@
 
 #include "formula/Normalize.h"
 
+#include "support/FlatIndex.h"
+
 #include <algorithm>
-#include <unordered_map>
 
 namespace optabs {
 namespace formula {
 
-std::optional<Cube> refineCubeByLocations(const Cube &C,
-                                          const LocationFn &Loc) {
-  // Group the cube's literals by location (identified by the sorted value
-  // list's first atom, which is stable per location). Cubes hold a handful
-  // of literals, so flat vectors beat a node-based map here.
-  struct Group {
-    AtomId Key;
-    LocationInfo Info;
-    std::vector<Lit> Present;
-  };
-  std::vector<Group> Groups;
-  std::vector<Lit> Independent;
-  for (Lit L : C.literals()) {
-    auto Info = Loc(L.atom());
-    if (!Info) {
-      Independent.push_back(L);
-      continue;
-    }
-    assert(!Info->Values.empty());
+namespace {
+
+/// Scratch buffers reused by every refinement and merge round on this
+/// thread, so neither allocates once the buffers reach their working size.
+struct Scratch {
+  /// Located literals of the cube being refined as (location id << 32) |
+  /// raw literal; sorting groups them by location.
+  std::vector<uint64_t> Grouped;
+  std::vector<Lit> Out;
+  std::vector<uint64_t> Hashes;
+  support::FlatIndex Index;
+  std::vector<size_t> Members;
+};
+
+Scratch &scratch() {
+  thread_local Scratch S;
+  return S;
+}
+
+Lit litOfRaw(uint32_t Raw) {
+  return (Raw & 1) ? Lit::neg(Raw >> 1) : Lit::pos(Raw >> 1);
+}
+
+} // namespace
+
+uint32_t LocationTable::fill(AtomId A) {
+  if (A >= AtomLoc.size())
+    AtomLoc.resize(std::max<size_t>(size_t(A) + 1, 2 * AtomLoc.size()),
+                   Unknown);
+  std::optional<LocationInfo> Info = Loc ? Loc(A) : std::nullopt;
+  uint32_t Id = Independent;
+  if (Info) {
+    assert(std::find(Info->Values.begin(), Info->Values.end(), A) !=
+               Info->Values.end() &&
+           "a location lists the atom it was asked about");
     AtomId Key = *std::min_element(Info->Values.begin(), Info->Values.end());
-    auto It = std::find_if(Groups.begin(), Groups.end(),
-                           [Key](const Group &G) { return G.Key == Key; });
-    if (It == Groups.end()) {
-      Groups.push_back(Group{Key, std::move(*Info), {}});
-      It = Groups.end() - 1;
+    auto [It, Fresh] =
+        ByKey.emplace(Key, static_cast<uint32_t>(Exhaustive.size()));
+    if (Fresh) {
+      Values.insert(Values.end(), Info->Values.begin(), Info->Values.end());
+      ValueBegin.push_back(static_cast<uint32_t>(Values.size()));
+      Exhaustive.push_back(Info->Exhaustive);
     }
-    It->Present.push_back(L);
+    Id = It->second;
   }
-  std::sort(Groups.begin(), Groups.end(),
-            [](const Group &A, const Group &B) { return A.Key < B.Key; });
+  AtomLoc[A] = Id;
+  return Id;
+}
 
-  std::vector<Lit> Result = std::move(Independent);
-  for (Group &G : Groups) {
-    std::vector<AtomId> Positive;
-    std::vector<AtomId> Negative;
-    for (Lit L : G.Present)
-      (L.isNeg() ? Negative : Positive).push_back(L.atom());
+bool refineCubeByLocations(Cube &C, LocationTable &Locs) {
+  // One pass: independent literals go straight to the output, located ones
+  // are sorted by (location, literal) so each location's literals form one
+  // run. The rules only ever drop literals of a location or replace them
+  // by one positive, so an untouched run leaves the cube as it was.
+  Scratch &S = scratch();
+  S.Grouped.clear();
+  S.Out.clear();
+  for (Lit L : C.literals()) {
+    uint32_t Id = Locs.locationOf(L.atom());
+    if (Id == LocationTable::Independent)
+      S.Out.push_back(L);
+    else
+      S.Grouped.push_back((static_cast<uint64_t>(Id) << 32) | L.raw());
+  }
+  if (S.Grouped.empty())
+    return true;
+  std::sort(S.Grouped.begin(), S.Grouped.end());
 
-    std::sort(Positive.begin(), Positive.end());
-    Positive.erase(std::unique(Positive.begin(), Positive.end()),
-                   Positive.end());
-    if (Positive.size() > 1)
-      return std::nullopt; // two distinct values of one location
-    if (Positive.size() == 1) {
+  bool Changed = false;
+  const size_t N = S.Grouped.size();
+  for (size_t Begin = 0, End = 0; Begin < N; Begin = End) {
+    const uint32_t Id = static_cast<uint32_t>(S.Grouped[Begin] >> 32);
+    End = Begin + 1;
+    while (End < N && (S.Grouped[End] >> 32) == Id)
+      ++End;
+    size_t NumPositive = 0;
+    Lit Positive;
+    for (size_t I = Begin; I < End; ++I) {
+      Lit L = litOfRaw(static_cast<uint32_t>(S.Grouped[I]));
+      if (!L.isNeg()) {
+        ++NumPositive;
+        Positive = L;
+      }
+    }
+    if (NumPositive > 1)
+      return false; // two distinct values of one location
+    if (NumPositive == 1) {
       // Any negative literal of the same location is implied (different
       // value) or contradictory (same value, impossible here since Cube
       // construction rejects complementary pairs).
-      Result.push_back(Lit::pos(Positive[0]));
+      S.Out.push_back(Positive);
+      Changed |= End - Begin > 1;
       continue;
     }
     // Negatives only.
-    std::sort(Negative.begin(), Negative.end());
-    Negative.erase(std::unique(Negative.begin(), Negative.end()),
-                   Negative.end());
-    if (G.Info.Exhaustive) {
-      std::vector<AtomId> Remaining;
-      for (AtomId V : G.Info.Values)
-        if (!std::binary_search(Negative.begin(), Negative.end(), V))
-          Remaining.push_back(V);
-      if (Remaining.empty())
-        return std::nullopt; // no value left for this location
-      if (Remaining.size() == 1) {
-        Result.push_back(Lit::pos(Remaining[0]));
+    if (Locs.exhaustive(Id)) {
+      size_t Remaining = 0;
+      AtomId Last = 0;
+      for (const AtomId *V = Locs.valuesBegin(Id); V != Locs.valuesEnd(Id);
+           ++V) {
+        uint64_t Neg = (static_cast<uint64_t>(Id) << 32) | Lit::neg(*V).raw();
+        if (!std::binary_search(S.Grouped.begin() + Begin,
+                                S.Grouped.begin() + End, Neg)) {
+          ++Remaining;
+          Last = *V;
+        }
+      }
+      if (Remaining == 0)
+        return false; // no value left for this location
+      if (Remaining == 1) {
+        S.Out.push_back(Lit::pos(Last));
+        Changed = true;
         continue;
       }
     }
-    for (AtomId V : Negative)
-      Result.push_back(Lit::neg(V));
+    for (size_t I = Begin; I < End; ++I)
+      S.Out.push_back(litOfRaw(static_cast<uint32_t>(S.Grouped[I])));
   }
-  return Cube::make(std::move(Result));
+  if (!Changed)
+    return true;
+  return C.reset(S.Out.data(), S.Out.data() + S.Out.size());
 }
 
 namespace {
@@ -143,47 +195,43 @@ bool sameExcept(const Cube &A, Lit La, const Cube &B, Lit Lb) {
 /// index, literal order within the cube, complementary before
 /// value-complete) fixes which merge fires first, so the fixpoint result
 /// is deterministic.
-bool mergeRound(std::vector<Cube> &Cubes, const LocationFn &Loc) {
+bool mergeRound(std::vector<Cube> &Cubes, LocationTable &Locs) {
   // Index cubes by commutative hash: the partner of a one-literal
   // substitution is found by adjusting the hash in O(1) and verifying the
   // (rare) candidates exactly. Cubes are duplicate-free here (subsumption
   // ran just before), so a verified match is unique.
-  std::unordered_multimap<uint64_t, size_t> Index;
-  std::vector<uint64_t> Hashes(Cubes.size());
-  Index.reserve(Cubes.size());
+  Scratch &S = scratch();
+  S.Hashes.resize(Cubes.size());
+  S.Index.clear();
+  S.Index.reserve(Cubes.size());
   for (size_t I = 0; I < Cubes.size(); ++I) {
-    Hashes[I] = cubeHash(Cubes[I]);
-    Index.emplace(Hashes[I], I);
+    S.Hashes[I] = cubeHash(Cubes[I]);
+    S.Index.insert(S.Hashes[I], static_cast<uint32_t>(I));
   }
   // First cube whose literals are Cubes[I] with La replaced by Lb; -1 if
   // absent. Equivalent to a linear scan for the substituted literal list.
   auto FindSubst = [&](size_t I, Lit La, Lit Lb) -> int {
-    uint64_t H = Hashes[I] - litHash(La) + litHash(Lb);
+    uint64_t H = S.Hashes[I] - litHash(La) + litHash(Lb);
     int Best = -1;
-    for (auto [It, End] = Index.equal_range(H); It != End; ++It)
-      if (sameExcept(Cubes[I], La, Cubes[It->second], Lb) &&
-          (Best < 0 || static_cast<int>(It->second) < Best))
-        Best = static_cast<int>(It->second);
+    S.Index.forEach(H, [&](uint32_t J) {
+      if ((Best < 0 || static_cast<int>(J) < Best) &&
+          sameExcept(Cubes[I], La, Cubes[J], Lb))
+        Best = static_cast<int>(J);
+    });
     return Best;
-  };
-  auto Without = [](const Cube &C, Lit L) {
-    std::vector<Lit> Lits;
-    for (Lit X : C.literals())
-      if (X != L)
-        Lits.push_back(X);
-    return Lits;
   };
 
   for (size_t I = 0; I < Cubes.size(); ++I) {
     for (Lit L : Cubes[I].literals()) {
-      // Complementary merge: X u {l} and X u {!l} -> X.
+      // Complementary merge: X u {l} and X u {!l} -> X. The merged cube
+      // is the lower-index one minus its own copy of the differing
+      // literal, built in place.
       int Partner = FindSubst(I, L, L.negate());
       if (Partner >= 0 && Partner != static_cast<int>(I)) {
-        Cube Merged = *Cube::make(Without(Cubes[I], L));
         size_t A = std::min(I, static_cast<size_t>(Partner));
         size_t B = std::max(I, static_cast<size_t>(Partner));
+        Cubes[A].remove(A == I ? L : L.negate());
         Cubes.erase(Cubes.begin() + B);
-        Cubes[A] = std::move(Merged);
         return true;
       }
 
@@ -191,27 +239,32 @@ bool mergeRound(std::vector<Cube> &Cubes, const LocationFn &Loc) {
       // exhaustive location -> X.
       if (L.isNeg())
         continue;
-      auto Info = Loc(L.atom());
-      if (!Info || !Info->Exhaustive || Info->Values.size() < 2)
+      uint32_t Id = Locs.locationOf(L.atom());
+      if (Id == LocationTable::Independent || !Locs.exhaustive(Id) ||
+          Locs.numValues(Id) < 2)
         continue;
-      std::vector<size_t> Members;
+      S.Members.clear();
       bool Complete = true;
-      for (AtomId V : Info->Values) {
-        int At = FindSubst(I, L, Lit::pos(V));
+      for (const AtomId *V = Locs.valuesBegin(Id); V != Locs.valuesEnd(Id);
+           ++V) {
+        int At = FindSubst(I, L, Lit::pos(*V));
         if (At < 0) {
           Complete = false;
           break;
         }
-        Members.push_back(static_cast<size_t>(At));
+        S.Members.push_back(static_cast<size_t>(At));
       }
       if (!Complete)
         continue;
-      std::sort(Members.begin(), Members.end());
-      Members.erase(std::unique(Members.begin(), Members.end()),
-                    Members.end());
-      Cube Merged = *Cube::make(Without(Cubes[I], L));
-      for (size_t J = Members.size(); J-- > 0;)
-        Cubes.erase(Cubes.begin() + Members[J]);
+      std::sort(S.Members.begin(), S.Members.end());
+      S.Members.erase(std::unique(S.Members.begin(), S.Members.end()),
+                      S.Members.end());
+      // Cubes[I] is itself a member (the value L.atom() maps to it), so it
+      // can give up its literals to the merged cube.
+      Cubes[I].remove(L);
+      Cube Merged = std::move(Cubes[I]);
+      for (size_t J = S.Members.size(); J-- > 0;)
+        Cubes.erase(Cubes.begin() + S.Members[J]);
       Cubes.push_back(std::move(Merged));
       return true;
     }
@@ -222,49 +275,32 @@ bool mergeRound(std::vector<Cube> &Cubes, const LocationFn &Loc) {
 } // namespace
 
 void semanticNormalize(Dnf &D, const CubeRefiner &Refine,
-                       const LocationFn &Loc) {
-  std::vector<Cube> Cubes;
-  for (const Cube &C : D.cubes()) {
-    if (!Refine) {
-      Cubes.push_back(C);
+                       LocationTable &Locs) {
+  std::vector<Cube> Cubes = D.takeCubes();
+  size_t Kept = 0;
+  for (size_t I = 0; I < Cubes.size(); ++I) {
+    if (!refineCubeByLocations(Cubes[I], Locs))
       continue;
+    if (Refine) {
+      std::optional<Cube> R = Refine(Cubes[I]);
+      if (!R)
+        continue;
+      Cubes[I] = std::move(*R);
     }
-    if (auto R = Refine(C))
-      Cubes.push_back(std::move(*R));
+    if (Kept != I)
+      Cubes[Kept] = std::move(Cubes[I]);
+    ++Kept;
   }
+  Cubes.erase(Cubes.begin() + Kept, Cubes.end());
 
-  // The client's atomLocation builds a fresh LocationInfo per call; the
-  // same few atoms are queried over and over across merge rounds, so one
-  // per-call cache pays for itself immediately.
-  std::unordered_map<AtomId, std::optional<LocationInfo>> LocCache;
-  LocationFn CachedLoc;
-  if (Loc)
-    CachedLoc = [&Loc, &LocCache](AtomId A) -> std::optional<LocationInfo> {
-      auto It = LocCache.find(A);
-      if (It == LocCache.end())
-        It = LocCache.emplace(A, Loc(A)).first;
-      return It->second;
-    };
-
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
+  while (true) {
     // Subsumption first keeps the candidate set small for merging.
-    Dnf Tmp = Dnf::fromCubes(std::move(Cubes));
-    Tmp.sortBySize();
-    Tmp.simplify();
-    Cubes = Tmp.takeCubes();
-
-    if (CachedLoc && mergeRound(Cubes, CachedLoc)) {
-      Changed = true;
-      continue;
-    }
-    // Complementary merging alone (no location info).
-    if (!Loc) {
-      LocationFn None = [](AtomId) { return std::nullopt; };
-      if (mergeRound(Cubes, None))
-        Changed = true;
-    }
+    D = Dnf::fromCubes(std::move(Cubes));
+    D.sortBySize();
+    D.simplify();
+    Cubes = D.takeCubes();
+    if (!mergeRound(Cubes, Locs))
+      break;
   }
   D = Dnf::fromCubes(std::move(Cubes));
 }

@@ -39,6 +39,8 @@
 
 #include "formula/Dnf.h"
 
+#include <unordered_map>
+
 namespace optabs {
 namespace formula {
 
@@ -59,17 +61,61 @@ using LocationFn = std::function<std::optional<LocationInfo>(AtomId)>;
 /// cube, or nullopt when the cube is unsatisfiable. Must preserve meaning.
 using CubeRefiner = std::function<std::optional<Cube>(const Cube &)>;
 
-/// Generic exclusivity-based refinement driven by location info alone;
-/// suitable as a client's CubeRefiner when locations fully describe the
-/// atom semantics.
-std::optional<Cube> refineCubeByLocations(const Cube &C,
-                                          const LocationFn &Loc);
+/// The client's locations as a dense table: atom -> location id, and
+/// location id -> value atoms plus the exhaustive flag. Each atom's entry
+/// is filled from the LocationFn the first time the atom is looked up, so
+/// the client is asked once per atom rather than once per literal. A
+/// location is identified by its smallest value atom; the client must
+/// report the same location for each of its values. Lookups fill the
+/// table, so one table must not be shared between threads.
+class LocationTable {
+public:
+  /// Location id of atoms that belong to no location.
+  static constexpr uint32_t Independent = UINT32_MAX;
 
-/// Applies refinement and the merge rules to a fixpoint. Either argument
-/// may be null (no client knowledge of that kind); the complementary merge
-/// and subsumption always run.
+  /// A table in which every atom is independent.
+  LocationTable() = default;
+  explicit LocationTable(LocationFn Loc) : Loc(std::move(Loc)) {}
+
+  uint32_t locationOf(AtomId A) {
+    if (A < AtomLoc.size() && AtomLoc[A] != Unknown)
+      return AtomLoc[A];
+    return fill(A);
+  }
+  const AtomId *valuesBegin(uint32_t L) const {
+    return Values.data() + ValueBegin[L];
+  }
+  const AtomId *valuesEnd(uint32_t L) const {
+    return Values.data() + ValueBegin[L + 1];
+  }
+  size_t numValues(uint32_t L) const {
+    return ValueBegin[L + 1] - ValueBegin[L];
+  }
+  bool exhaustive(uint32_t L) const { return Exhaustive[L]; }
+
+private:
+  static constexpr uint32_t Unknown = UINT32_MAX - 1;
+  uint32_t fill(AtomId A);
+
+  LocationFn Loc;
+  std::vector<uint32_t> AtomLoc;        ///< per atom; Unknown until asked
+  std::vector<uint32_t> ValueBegin{0};  ///< per location, into Values
+  std::vector<AtomId> Values;
+  std::vector<uint8_t> Exhaustive;      ///< per location
+  /// Smallest value atom -> location id; consulted only while filling.
+  std::unordered_map<AtomId, uint32_t> ByKey;
+};
+
+/// Generic exclusivity-based refinement driven by the location table:
+/// rewrites \p C in place and returns false when it is unsatisfiable.
+bool refineCubeByLocations(Cube &C, LocationTable &Locs);
+
+/// Applies location refinement, then the client's \p Refine (may be
+/// null), then the merge rules and subsumption to a fixpoint. With a
+/// table that has no locations only the complementary merge and
+/// subsumption apply.
 void semanticNormalize(Dnf &D, const CubeRefiner &Refine,
-                       const LocationFn &Loc);
+                       LocationTable &Locs);
 
 } // namespace formula
 } // namespace optabs

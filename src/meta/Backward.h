@@ -41,10 +41,12 @@
 ///     std::string atomName(formula::AtomId A) const;
 ///     // Semantic cube simplification hooks (see formula/Normalize.h):
 ///     // exploit mutual exclusivity between atoms so formulas stay as
-///     // compact as the paper's hand-written Figures 10/11.
-///     std::optional<formula::Cube> refineCube(const formula::Cube &) const;
+///     // compact as the paper's hand-written Figures 10/11. atomLocation
+///     // is asked once per atom and drives the generic location rules;
+///     // refineCube is optional and adds client-specific rules on top.
 ///     std::optional<formula::LocationInfo>
 ///     atomLocation(formula::AtomId) const;
+///     std::optional<formula::Cube> refineCube(const formula::Cube &) const;
 ///   };
 /// \endcode
 ///
@@ -65,14 +67,15 @@
 #include "meta/TraceSegments.h"
 #include "support/Budget.h"
 #include "support/FaultInjection.h"
+#include "support/FlatIndex.h"
 #include "support/Invariants.h"
 #include "support/Metrics.h"
 #include "support/Timer.h"
 
 #include <algorithm>
+#include <deque>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace optabs {
@@ -148,8 +151,12 @@ public:
   BackwardMetaAnalysis(const ir::Program &P, const Client &C,
                        BackwardConfig Config = BackwardConfig())
       : P(P), C(C), Config(Config),
-        Refiner([&C](const formula::Cube &Cube) { return C.refineCube(Cube); }),
-        LocFn([&C](formula::AtomId A) { return C.atomLocation(A); }) {}
+        Locs([&C](formula::AtomId A) { return C.atomLocation(A); }) {
+    if constexpr (requires(const Client &Cl, const formula::Cube &X) {
+                    Cl.refineCube(X);
+                  })
+      Refiner = [&C](const formula::Cube &X) { return C.refineCube(X); };
+  }
 
   /// Runs B[t](p, d_I, NotQ). \p States must be the forward state sequence
   /// along \p T starting from d_I (length |T| + 1, as produced by
@@ -176,7 +183,6 @@ public:
     Stats = BackwardStats();
     Stats.Steps = T.size();
     LastExhaustion.reset();
-    SkipMemo.clear();
     support::BudgetGate Gate("backward.step", Config.StepBudget,
                              Config.Cancel, 0, Config.Invariants);
     if (States.size() != T.size() + 1) {
@@ -201,10 +207,10 @@ public:
       return std::nullopt;
     }
 
-    // The formula changes only at non-skipped steps; FVersion numbers those
-    // changes so the identity-skip verdict can be memoized per
-    // (command, formula version) below.
-    uint64_t FVersion = 0;
+    // The formula changes only at non-skipped steps; Epoch numbers those
+    // changes (and runs) so the identity-skip verdict can be memoized per
+    // (command, formula) below.
+    newFormula();
 
     // Segment-compression bookkeeping. Repeats are disjoint and sorted by
     // position, so walking backwards consumes them from the back.
@@ -235,22 +241,7 @@ public:
         return std::nullopt; // budget/cancellation: discard like a timeout
       }
       const ir::Command &Cmd = P.command(T[I]);
-      bool Skip = false;
-      if (Config.SkipIdentitySteps) {
-        // The exact per-literal wp check is itself a hashmap lookup per
-        // literal; on long traces the same (command, formula) pair recurs
-        // constantly (loops, unrelated program regions), so the verdict is
-        // memoized under the formula's version. Bitwise equivalent to
-        // checking every step: the formula is unchanged since FVersion was
-        // last bumped.
-        uint64_t SkipKey = (static_cast<uint64_t>(T[I].index()) << 32) |
-                           (FVersion & 0xffffffff);
-        auto SkipIt = SkipMemo.find(SkipKey);
-        Skip = SkipIt != SkipMemo.end()
-                   ? SkipIt->second
-                   : SkipMemo.emplace(SkipKey, isIdentityStep(T[I], Cmd, F))
-                         .first->second;
-      }
+      bool Skip = Config.SkipIdentitySteps && isIdentityStep(T[I], Cmd, F);
       if (!Skip) {
         formula::AtomEval PreEval = makeEval(Prm, States[I]);
         std::optional<formula::Dnf> Wp =
@@ -272,17 +263,17 @@ public:
         // Its merging pass is quadratic, so very large (exact-mode)
         // formulas get progressively lighter treatment.
         if (F.size() <= Config.NormalizeCap) {
-          formula::semanticNormalize(F, Refiner, LocFn);
+          formula::semanticNormalize(F, Refiner, Locs);
         } else if (F.size() <= Config.SimplifyCap) {
           F.sortBySize();
           F.simplify();
         } else {
           F.sortBySize(); // subsumption is quadratic; skip when huge
         }
-        if (Config.K > 0 && F.size() > Config.K) {
-          F.sortBySize();
+        // Every tier above leaves F sorted by size and duplicate-free, the
+        // order dropK assumes.
+        if (Config.K > 0 && F.size() > Config.K)
           F.dropK(Config.K, PreEval, Config.Invariants);
-        }
         if (!F.eval(PreEval)) {
           // Soundness invariant (Theorem 3): the current (p, d) must stay
           // inside the formula at every trace point, or the final formula
@@ -297,7 +288,7 @@ public:
                   std::to_string(F.size()) + "); run discarded");
           return std::nullopt;
         }
-        ++FVersion;
+        newFormula();
         Stats.MaxCubes = std::max(Stats.MaxCubes, F.size());
       }
       Stats.TotalCubes += F.size();
@@ -360,7 +351,7 @@ public:
   /// exactly the abstractions p' with (p', d_I) in gamma(F) - the set
   /// Pi of Algorithm 1, line 14. State atoms are evaluated at d_I.
   formula::Dnf projectToParams(const formula::Dnf &F, const Param &Prm,
-                               const State &InitState) const {
+                               const State &InitState) {
     formula::Dnf Result;
     std::vector<formula::Cube> Cubes;
     for (const formula::Cube &Cube : F.cubes()) {
@@ -382,7 +373,7 @@ public:
         Cubes.push_back(std::move(*NewCube));
     }
     Result = formula::Dnf::fromCubes(std::move(Cubes));
-    formula::semanticNormalize(Result, Refiner, LocFn);
+    formula::semanticNormalize(Result, Refiner, Locs);
     Result.sortBySize();
     Result.simplify();
     return Result;
@@ -412,19 +403,49 @@ private:
     };
   }
 
+  /// Marks the current formula as new: identity-skip verdicts and the
+  /// deduplicated literal set computed for the previous one are stale.
+  void newFormula() {
+    ++Epoch;
+    FLitsEpoch = 0;
+  }
+
   /// True when the wp of every literal of \p F across \p Cmd is the
-  /// literal itself, i.e. the whole step is the identity.
+  /// literal itself, i.e. the whole step is the identity. The verdict is a
+  /// function of (command, formula), so it is computed once per command
+  /// per formula: SkipEpoch[cmd] names the formula the cached verdict
+  /// belongs to. The check runs over F's deduplicated literals, which are
+  /// collected once per formula; a literal shared by many cubes is looked
+  /// up once.
   bool isIdentityStep(ir::CommandId CmdId, const ir::Command &Cmd,
                       const formula::Dnf &F) {
-    for (const formula::Cube &Cube : F.cubes()) {
-      for (formula::Lit L : Cube.literals()) {
-        const formula::Dnf &W = wpLit(CmdId, Cmd, L);
-        if (W.size() != 1 || W.cubes()[0].size() != 1 ||
-            W.cubes()[0].literals()[0] != L)
-          return false;
+    const uint32_t Ci = CmdId.index();
+    if (Ci >= SkipEpoch.size()) {
+      size_t N = std::max<size_t>(Ci + 1, P.numCommands());
+      SkipEpoch.resize(N, 0);
+      SkipVerdict.resize(N, 0);
+    }
+    if (SkipEpoch[Ci] == Epoch)
+      return SkipVerdict[Ci];
+    if (FLitsEpoch != Epoch) {
+      FLits.clear();
+      for (const formula::Cube &Cube : F.cubes())
+        FLits.insert(FLits.end(), Cube.literals().begin(),
+                     Cube.literals().end());
+      std::sort(FLits.begin(), FLits.end());
+      FLits.erase(std::unique(FLits.begin(), FLits.end()), FLits.end());
+      FLitsEpoch = Epoch;
+    }
+    bool Identity = true;
+    for (formula::Lit L : FLits) {
+      if (!WpIdentity[wpSlot(CmdId, Cmd, L)]) {
+        Identity = false;
+        break;
       }
     }
-    return true;
+    SkipEpoch[Ci] = Epoch;
+    SkipVerdict[Ci] = Identity;
+    return Identity;
   }
 
   /// wp of a whole DNF across one command: substitute the wp of each
@@ -435,8 +456,11 @@ private:
                                         const formula::Dnf &F,
                                         const formula::AtomEval &PreEval,
                                         support::BudgetGate *Gate = nullptr) {
-    formula::Dnf Result;
-    std::vector<const formula::Dnf *> Wps;
+    std::vector<formula::Cube> Result;
+    auto OverCap = [&](size_t CubeWpSize) {
+      return Config.HardCubeCap > 0 &&
+             Result.size() + CubeWpSize > Config.HardCubeCap;
+    };
     for (const formula::Cube &Cube : F.cubes()) {
       // Multiply the literal wps smallest-first: the product cube multiset
       // is order-independent (conjunction is commutative and contradictions
@@ -445,51 +469,153 @@ private:
       // cross-products - the actual cost - stay as small as possible.
       Wps.clear();
       for (formula::Lit L : Cube.literals())
-        Wps.push_back(&wpLit(CmdId, Cmd, L)); // node-stable references
+        Wps.push_back(&WpStore[wpSlot(CmdId, Cmd, L)]); // node-stable
       std::stable_sort(Wps.begin(), Wps.end(),
                        [](const formula::Dnf *A, const formula::Dnf *B) {
                          return A->size() < B->size();
                        });
+      // The leading run of single-cube wps (mostly wp(l) = l) is a chain
+      // of 1x1 products; fold it into one cube with one merge. Each folded
+      // product still pays its gate charge and cap check, in order, and
+      // the chain stops at the product that first meets a contradiction.
+      size_t Run = 0;
+      while (Run < Wps.size() && Wps[Run]->size() == 1)
+        ++Run;
+      size_t Next = 0;
       formula::Dnf CubeWp = formula::Dnf::constTrue();
-      for (const formula::Dnf *Wp : Wps) {
-        CubeWp = formula::Dnf::product(CubeWp, *Wp, Config.ProductSoftCap,
+      if (Run > 0) {
+        std::optional<size_t> Clash = foldSingleCubes(Run);
+        size_t Products = Clash ? *Clash + 1 : Run;
+        for (size_t J = 0; J < Products; ++J) {
+          if (!formula::Dnf::chargeProduct(1, Config.Invariants, Gate))
+            return std::nullopt; // the product would be under-charged false
+          if (OverCap(Clash && J == *Clash ? 0 : 1))
+            return std::nullopt;
+        }
+        if (Clash)
+          continue; // this cube's wp is false
+        formula::Cube Acc;
+        [[maybe_unused]] bool Consistent =
+            Acc.reset(FoldOut.data(), FoldOut.data() + FoldOut.size());
+        assert(Consistent && "a clash-free fold has no a and !a");
+        if (Run == Wps.size()) {
+          Result.push_back(std::move(Acc));
+          continue;
+        }
+        std::vector<formula::Cube> One;
+        One.push_back(std::move(Acc));
+        CubeWp = formula::Dnf::fromCubes(std::move(One));
+        Next = Run;
+      }
+      for (size_t J = Next; J < Wps.size(); ++J) {
+        CubeWp = formula::Dnf::product(CubeWp, *Wps[J], Config.ProductSoftCap,
                                        PreEval, Config.Invariants, Gate);
         if (Gate && Gate->exhausted())
           return std::nullopt; // product returned an under-charged false
-        if (Config.HardCubeCap > 0 &&
-            Result.size() + CubeWp.size() > Config.HardCubeCap)
+        if (OverCap(CubeWp.size()))
           return std::nullopt;
         if (CubeWp.isFalse())
           break;
       }
-      Result.orWith(CubeWp);
+      std::vector<formula::Cube> Cubes = CubeWp.takeCubes();
+      Result.insert(Result.end(), std::make_move_iterator(Cubes.begin()),
+                    std::make_move_iterator(Cubes.end()));
     }
-    return Result;
+    return formula::Dnf::fromCubes(std::move(Result));
   }
 
-  /// wp of one literal, memoized per (command, literal). Negative literals
-  /// use wp(!A) = !wp(A), valid because transfers are deterministic.
-  const formula::Dnf &wpLit(ir::CommandId CmdId, const ir::Command &Cmd,
-                            formula::Lit L) {
+  /// Conjoins the single cubes of Wps[0, Run) in one sort: leaves their
+  /// union in FoldOut and returns the index of the first wp whose cube
+  /// contradicts the union of the ones before it, if any. That is where
+  /// the product chain wp_0 * wp_1 * ... first turns false: atom a clashes
+  /// at max(first step with a, first step with !a).
+  std::optional<size_t> foldSingleCubes(size_t Run) {
+    FoldScratch.clear();
+    for (size_t J = 0; J < Run; ++J)
+      for (formula::Lit L : Wps[J]->cubes()[0].literals())
+        FoldScratch.push_back((static_cast<uint64_t>(L.raw()) << 32) | J);
+    std::sort(FoldScratch.begin(), FoldScratch.end());
+    FoldOut.clear();
+    std::optional<size_t> Clash;
+    size_t BackFirst = 0; // first step of FoldOut.back()
+    // Entries are sorted by literal, then step, so the first entry of each
+    // literal carries its first step, and a positive literal's entries
+    // directly precede its negation's.
+    for (size_t I = 0; I < FoldScratch.size(); ++I) {
+      uint32_t Raw = static_cast<uint32_t>(FoldScratch[I] >> 32);
+      if (I > 0 && static_cast<uint32_t>(FoldScratch[I - 1] >> 32) == Raw)
+        continue;
+      size_t First = static_cast<uint32_t>(FoldScratch[I]);
+      formula::Lit L = formula::Lit::pos(Raw >> 1);
+      if (Raw & 1)
+        L = L.negate();
+      if (!FoldOut.empty() && FoldOut.back() == L.negate()) {
+        size_t At = std::max(BackFirst, First);
+        Clash = Clash ? std::min(*Clash, At) : At;
+      }
+      FoldOut.push_back(L);
+      BackFirst = First;
+    }
+    return Clash;
+  }
+
+  /// Index into WpStore of wp(L) across one command, memoized per
+  /// (command, literal). Negative literals use wp(!A) = !wp(A), valid
+  /// because transfers are deterministic. Most wps are the literal itself;
+  /// those share one stored copy per literal, filed under the key of
+  /// command index ~0u (never a real command).
+  uint32_t wpSlot(ir::CommandId CmdId, const ir::Command &Cmd,
+                  formula::Lit L) {
     uint64_t Key = (static_cast<uint64_t>(CmdId.index()) << 32) | L.raw();
-    auto It = WpMemo.find(Key);
-    if (It != WpMemo.end())
-      return It->second;
+    uint32_t Slot = WpIndex.find(Key);
+    if (Slot != support::FlatIndex::Missing)
+      return Slot;
     formula::Formula Wp = C.wpAtom(Cmd, L.atom());
     if (L.isNeg())
       Wp = formula::Formula::negate(Wp);
-    return WpMemo.emplace(Key, Wp.toDnf()).first->second;
+    formula::Dnf W = Wp.toDnf();
+    bool Identity = W.size() == 1 && W.cubes()[0].size() == 1 &&
+                    W.cubes()[0].literals()[0] == L;
+    const uint64_t IdentityKey = (uint64_t(UINT32_MAX) << 32) | L.raw();
+    Slot = Identity ? WpIndex.find(IdentityKey) : support::FlatIndex::Missing;
+    if (Slot == support::FlatIndex::Missing) {
+      Slot = static_cast<uint32_t>(WpStore.size());
+      WpStore.push_back(std::move(W));
+      WpIdentity.push_back(Identity);
+      if (Identity)
+        WpIndex.insert(IdentityKey, Slot);
+    }
+    WpIndex.insert(Key, Slot);
+    return Slot;
   }
 
   const ir::Program &P;
   const Client &C;
   BackwardConfig Config;
-  formula::CubeRefiner Refiner;
-  formula::LocationFn LocFn;
-  std::unordered_map<uint64_t, formula::Dnf> WpMemo;
-  /// Per-run memo of identity-skip verdicts keyed (command, formula
-  /// version); cleared at every run() entry.
-  std::unordered_map<uint64_t, bool> SkipMemo;
+  formula::CubeRefiner Refiner; ///< null unless the client has refineCube
+  formula::LocationTable Locs;
+  /// wp memo: a deque keeps every wp DNF at a stable address for the
+  /// engine's lifetime; WpIndex maps (command, literal) to its position
+  /// and WpIdentity records whether it is the literal itself.
+  /// Identity wps are stored once per literal (see wpSlot).
+  std::deque<formula::Dnf> WpStore;
+  std::vector<uint8_t> WpIdentity;
+  support::FlatIndex WpIndex;
+  /// Identity-skip memo: SkipVerdict[cmd] holds for the formula numbered
+  /// SkipEpoch[cmd]. Epoch advances at every formula change and run
+  /// start, so entries of earlier formulas and runs never match.
+  std::vector<uint64_t> SkipEpoch;
+  std::vector<uint8_t> SkipVerdict;
+  uint64_t Epoch = 0;
+  /// The current formula's deduplicated literals, valid when FLitsEpoch
+  /// equals Epoch.
+  std::vector<formula::Lit> FLits;
+  uint64_t FLitsEpoch = 0;
+  /// wpFormula scratch: one cube's literal wps, and the fold's entries
+  /// (raw literal << 32 | step) and output.
+  std::vector<const formula::Dnf *> Wps;
+  std::vector<uint64_t> FoldScratch;
+  std::vector<formula::Lit> FoldOut;
   BackwardStats Stats;
   std::optional<support::Exhausted> LastExhaustion;
 };

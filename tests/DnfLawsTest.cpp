@@ -10,6 +10,7 @@
 
 #include "formula/Dnf.h"
 
+#include "EscapeShapedFormulas.h"
 #include "support/Prng.h"
 
 #include "gtest/gtest.h"
@@ -104,6 +105,29 @@ TEST_P(DnfLaws, UncappedProductIsExactConjunction) {
   }
 }
 
+TEST_P(DnfLaws, UncappedProductIsExactConjunctionOnWideCubes) {
+  // Escape-shaped operands: cubes of 20-60 literals live on LitVec's heap
+  // path. The operands constrain overlapping location ranges, so their
+  // cubes share atoms and many conjunctions are consistent. Assignments
+  // are sampled near the cubes of both operands and of the product.
+  using Shape = optabs::testutil::EscapeShape;
+  Prng Rng(GetParam() ^ 0x31DE);
+  AtomEval Unused;
+  for (int Round = 0; Round < 8; ++Round) {
+    Dnf A = Shape::formula(Rng, 0, 32);
+    Dnf B = Shape::formula(Rng, 24, 32);
+    Dnf P = Dnf::product(A, B, 0, Unused);
+    const Dnf *Near[] = {&A, &B, &P};
+    for (int Sample = 0; Sample < 2000; ++Sample) {
+      std::vector<unsigned> Vals =
+          Shape::assignmentNear(Rng, *Near[Sample % 3]);
+      AtomEval E = Shape::evalOf(Vals);
+      ASSERT_EQ(P.eval(E), A.eval(E) && B.eval(E))
+          << "round " << Round << ", sample " << Sample;
+    }
+  }
+}
+
 TEST_P(DnfLaws, CappedProductUnderApproximatesAndKeepsJointWitness) {
   Prng Rng(GetParam() ^ 0xCA99);
   for (int Round = 0; Round < 100; ++Round) {
@@ -182,6 +206,32 @@ TEST_P(CubeOrderingSweep, ConjoinAndProductKeepLiteralsSorted) {
     Dnf P = Dnf::product(A, B, 0, Unused);
     for (const Cube &C : P.cubes())
       ASSERT_TRUE(cubeIsCanonical(C)) << "round " << Round;
+  }
+  // Escape-shaped operands over overlapping location ranges: every
+  // conjunction of two wide cubes must be canonical and hold exactly the
+  // union of their literals, or be rejected exactly when the union holds
+  // a and !a.
+  using Shape = optabs::testutil::EscapeShape;
+  for (int Round = 0; Round < 10; ++Round) {
+    Dnf A = Shape::formula(Rng, 0, 32);
+    Dnf B = Shape::formula(Rng, 24, 32);
+    for (const Cube &CA : A.cubes()) {
+      ASSERT_TRUE(cubeIsCanonical(CA));
+      for (const Cube &CB : B.cubes()) {
+        std::vector<Lit> Union(CA.literals().begin(), CA.literals().end());
+        Union.insert(Union.end(), CB.literals().begin(), CB.literals().end());
+        std::optional<Cube> Want = Cube::make(Union);
+        std::optional<Cube> Got = Cube::conjoin(CA, CB);
+        ASSERT_EQ(Got.has_value(), Want.has_value()) << "round " << Round;
+        if (Got) {
+          ASSERT_TRUE(cubeIsCanonical(*Got));
+          ASSERT_EQ(*Got, *Want) << "round " << Round;
+        }
+      }
+    }
+    Dnf P = Dnf::product(A, B, 0, Unused);
+    for (const Cube &C : P.cubes())
+      ASSERT_TRUE(cubeIsCanonical(C)) << "wide round " << Round;
   }
 }
 

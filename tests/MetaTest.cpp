@@ -5,8 +5,16 @@
 #include "dataflow/Forward.h"
 #include "escape/Escape.h"
 #include "ir/Parser.h"
+#include "pointer/PointsTo.h"
+#include "synth/Generator.h"
+#include "tracer/QueryDriver.h"
+#include "typestate/Typestate.h"
 
 #include "gtest/gtest.h"
+
+#include <cstdio>
+#include <fstream>
+#include <map>
 
 namespace {
 
@@ -160,6 +168,89 @@ TEST(Meta, FormulaToStringUsesClientAtomNames) {
   formula::Dnf D = formula::Dnf::singleLit(formula::Lit::pos(
       EscapeAnalysis::atomSite(F.P.findAlloc("h1"), escape::AbsVal::L)));
   EXPECT_EQ(Bwd.formulaToString(D), "h1.L");
+}
+
+/// Folds one value into a running 64-bit digest (splitmix64 finalizer).
+uint64_t fold(uint64_t H, uint64_t X) {
+  X += H + 0x9e3779b97f4a7c15ULL;
+  X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  X = (X ^ (X >> 27)) * 0x94d049bb133111ebULL;
+  return X ^ (X >> 31);
+}
+
+/// Digest of everything the backward kernel decides on a handful of small
+/// synthetic programs: every step formula of every backward run (cube
+/// order and raw literals, in observation order) and every projected
+/// Unviable set, read back as the cumulative learned-clause signature of
+/// the event trace's "step" events. Both clients run at one worker thread.
+uint64_t stepFormulaDigest() {
+  std::string TracePath = ::testing::TempDir() + "meta_step_digest.jsonl";
+  std::remove(TracePath.c_str());
+  uint64_t H = 0;
+  tracer::TracerOptions Opts;
+  Opts.NumThreads = 1;
+  Opts.MaxItersPerQuery = 16;
+  Opts.EventTracePath = TracePath;
+  Opts.BackwardStepObserver = [&H](size_t I, const Command &,
+                                   const formula::Dnf &F) {
+    H = fold(H, I);
+    H = fold(H, F.size());
+    for (const formula::Cube &C : F.cubes()) {
+      H = fold(H, C.size());
+      for (formula::Lit L : C.literals())
+        H = fold(H, L.raw());
+    }
+  };
+  for (uint64_t Seed : {11u, 12u, 13u, 14u}) {
+    synth::BenchConfig Config;
+    Config.Name = "digest" + std::to_string(Seed);
+    Config.Seed = Seed;
+    Config.AppProcs = 4;
+    Config.LibProcs = 3;
+    Config.UnitsPerAppProc = 4;
+    Config.ConfuserMaxWays = 10;
+    synth::Benchmark B = synth::generate(Config);
+
+    escape::EscapeAnalysis EA(B.P);
+    tracer::QueryDriver<EscapeAnalysis> EscDriver(B.P, EA, Opts);
+    EscDriver.run(B.EscChecks);
+
+    pointer::PointsToResult Pt = pointer::runPointsTo(B.P);
+    typestate::TypestateSpec Spec = typestate::TypestateSpec::stress();
+    std::map<uint32_t, std::vector<CheckId>> BySite;
+    for (CheckId Check : B.TsChecks)
+      Pt.pointsTo(B.P.checkSite(Check).Var).forEach([&](size_t Site) {
+        BySite[static_cast<uint32_t>(Site)].push_back(Check);
+      });
+    for (auto &[Site, Checks] : BySite) {
+      typestate::TypestateAnalysis TA(B.P, Spec, AllocId(Site), Pt);
+      tracer::QueryDriver<typestate::TypestateAnalysis> TsDriver(B.P, TA,
+                                                                 Opts);
+      TsDriver.run(Checks);
+    }
+  }
+  std::ifstream In(TracePath);
+  std::string Line;
+  const std::string Key = "\"learned_sig\":\"";
+  size_t Steps = 0;
+  while (std::getline(In, Line)) {
+    size_t At = Line.find(Key);
+    if (At == std::string::npos)
+      continue;
+    H = fold(H, std::stoull(Line.substr(At + Key.size(), 18), nullptr, 16));
+    ++Steps;
+  }
+  EXPECT_GT(Steps, 0u) << "event trace has no step events";
+  std::remove(TracePath.c_str());
+  return H;
+}
+
+TEST(Meta, StepFormulasMatchRecordedDigest) {
+  // Pins the backward kernel bit for bit: any change to wp substitution,
+  // semantic normalization, dropk or projection that alters a single step
+  // formula (even only its cube order) changes this digest. Verdict-level
+  // tests would not notice such a change.
+  EXPECT_EQ(stepFormulaDigest(), 0x2aea7249fec5aaccULL);
 }
 
 } // namespace

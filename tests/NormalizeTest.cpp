@@ -9,7 +9,10 @@
 
 #include "formula/Normalize.h"
 
+#include "EscapeShapedFormulas.h"
 #include "support/Prng.h"
+
+#include <algorithm>
 
 #include "gtest/gtest.h"
 
@@ -30,8 +33,21 @@ std::optional<LocationInfo> locOf(AtomId A) {
   return Info;
 }
 
-CubeRefiner refiner() {
-  return [](const Cube &C) { return refineCubeByLocations(C, locOf); };
+/// Location refinement of a copy of \p C; nullopt when unsatisfiable.
+std::optional<Cube> refine(Cube C, LocationTable &Locs) {
+  if (!refineCubeByLocations(C, Locs))
+    return std::nullopt;
+  return C;
+}
+
+std::optional<Cube> refine(Cube C) {
+  LocationTable Locs(locOf);
+  return refine(std::move(C), Locs);
+}
+
+void normalize(Dnf &D) {
+  LocationTable Locs(locOf);
+  semanticNormalize(D, nullptr, Locs);
 }
 
 /// Enumerates all consistent assignments (one value per location).
@@ -63,35 +79,31 @@ Lit at(unsigned Loc, unsigned Val) { return Lit::pos(Loc * NumVals + Val); }
 Lit nat(unsigned Loc, unsigned Val) { return Lit::neg(Loc * NumVals + Val); }
 
 TEST(RefineCube, TwoPositiveValuesContradict) {
-  EXPECT_FALSE(
-      refineCubeByLocations(cube({at(0, 0), at(0, 1)}), locOf).has_value());
+  EXPECT_FALSE(refine(cube({at(0, 0), at(0, 1)})).has_value());
 }
 
 TEST(RefineCube, PositiveDropsNegativesOfSameLocation) {
-  auto R = refineCubeByLocations(cube({at(0, 0), nat(0, 1), nat(0, 2)}),
-                                 locOf);
+  auto R = refine(cube({at(0, 0), nat(0, 1), nat(0, 2)}));
   ASSERT_TRUE(R.has_value());
   EXPECT_EQ(R->size(), 1u);
   EXPECT_EQ(R->literals()[0], at(0, 0));
 }
 
 TEST(RefineCube, ExhaustiveNegativesBecomePositive) {
-  auto R = refineCubeByLocations(cube({nat(1, 0), nat(1, 2)}), locOf);
+  auto R = refine(cube({nat(1, 0), nat(1, 2)}));
   ASSERT_TRUE(R.has_value());
   EXPECT_EQ(R->size(), 1u);
   EXPECT_EQ(R->literals()[0], at(1, 1));
 }
 
 TEST(RefineCube, AllNegativesContradict) {
-  EXPECT_FALSE(
-      refineCubeByLocations(cube({nat(2, 0), nat(2, 1), nat(2, 2)}), locOf)
-          .has_value());
+  EXPECT_FALSE(refine(cube({nat(2, 0), nat(2, 1), nat(2, 2)})).has_value());
 }
 
 TEST(RefineCube, IndependentAtomsPassThrough) {
-  LocationFn NoLoc = [](AtomId) { return std::nullopt; };
+  LocationTable NoLoc;
   Cube C = cube({Lit::pos(1), Lit::neg(2)});
-  auto R = refineCubeByLocations(C, NoLoc);
+  auto R = refine(C, NoLoc);
   ASSERT_TRUE(R.has_value());
   EXPECT_EQ(*R, C);
 }
@@ -101,14 +113,14 @@ TEST(SemanticNormalize, ValueCompleteMerge) {
   Lit X = at(3, 1);
   Dnf D = Dnf::fromCubes({cube({X, at(0, 0)}), cube({X, at(0, 1)}),
                           cube({X, at(0, 2)})});
-  semanticNormalize(D, refiner(), locOf);
+  normalize(D);
   ASSERT_EQ(D.size(), 1u);
   EXPECT_EQ(D.cubes()[0], cube({X}));
 }
 
 TEST(SemanticNormalize, ComplementaryMergeWithoutLocations) {
   // (a /\ b) \/ (a /\ !b) ==> a, for independent atoms.
-  LocationFn NoLoc = [](AtomId) { return std::nullopt; };
+  LocationTable NoLoc;
   Dnf D = Dnf::fromCubes({cube({Lit::pos(9), Lit::pos(10)}),
                           cube({Lit::pos(9), Lit::neg(10)})});
   semanticNormalize(D, nullptr, NoLoc);
@@ -132,7 +144,7 @@ TEST(SemanticNormalize, RecoversFigure6Formula) {
       cube({V(1), F(1), U(2)}),           // v.L /\ f.L /\ u.E
       cube({V(1), F(2), U(1)}),           // v.L /\ f.E /\ u.L (esc case)
   });
-  semanticNormalize(D, refiner(), locOf);
+  normalize(D);
   D.sortBySize();
   ASSERT_EQ(D.size(), 3u);
   EXPECT_EQ(D.cubes()[0], cube({U(2)}));
@@ -140,7 +152,9 @@ TEST(SemanticNormalize, RecoversFigure6Formula) {
   EXPECT_EQ(D.cubes()[2], cube({V(1), U(1), F(2)}));
 }
 
-/// Property: normalization preserves meaning over consistent assignments.
+/// Property: normalization preserves meaning over consistent assignments,
+/// on small formulas (every assignment enumerated) and on escape-shaped
+/// wide ones (assignments sampled near the cubes).
 TEST(SemanticNormalize, PreservesMeaningOnRandomFormulas) {
   Prng Rng(0x5EED);
   for (int Round = 0; Round < 300; ++Round) {
@@ -158,7 +172,7 @@ TEST(SemanticNormalize, PreservesMeaningOnRandomFormulas) {
     }
     Dnf Original = Dnf::fromCubes(Cubes);
     Dnf Normalized = Original;
-    semanticNormalize(Normalized, refiner(), locOf);
+    normalize(Normalized);
     forAllAssignments([&](const AtomEval &Eval) {
       ASSERT_EQ(Original.eval(Eval), Normalized.eval(Eval))
           << "round " << Round << ": meaning changed";
@@ -166,21 +180,45 @@ TEST(SemanticNormalize, PreservesMeaningOnRandomFormulas) {
     // Normalization never grows the formula.
     EXPECT_LE(Normalized.size(), Original.size());
   }
+
+  // Wide cubes take LitVec's heap path and refine across many locations
+  // at once; count the rounds in which refinement or merging did work so
+  // the sweep is known to reach those rules.
+  using Shape = optabs::testutil::EscapeShape;
+  LocationTable Wide(Shape::location);
+  unsigned Shrunk = 0, Rewritten = 0;
+  for (int Round = 0; Round < 40; ++Round) {
+    Dnf Original = Shape::formula(Rng);
+    Dnf Normalized = Original;
+    semanticNormalize(Normalized, nullptr, Wide);
+    EXPECT_LE(Normalized.size(), Original.size());
+    Shrunk += Normalized.size() < Original.size();
+    for (const Cube &C : Normalized.cubes())
+      Rewritten += std::find(Original.cubes().begin(), Original.cubes().end(),
+                             C) == Original.cubes().end();
+    for (int Sample = 0; Sample < 2000; ++Sample) {
+      std::vector<unsigned> Vals = Shape::assignmentNear(
+          Rng, Sample % 2 ? Original : Normalized);
+      AtomEval Eval = Shape::evalOf(Vals);
+      ASSERT_EQ(Original.eval(Eval), Normalized.eval(Eval))
+          << "wide round " << Round << ", sample " << Sample
+          << ": meaning changed";
+    }
+  }
+  EXPECT_GT(Shrunk, 0u);
+  EXPECT_GT(Rewritten, 0u);
 }
 
 TEST(SemanticNormalize, TwoValuedLocations) {
   // Sites have only {L, E}: negatives normalize to the other positive.
-  LocationFn TwoVal = [](AtomId A) {
+  LocationTable TwoVal([](AtomId A) {
     LocationInfo Info;
     uint32_t Loc = A / 2;
     Info.Values = {Loc * 2, Loc * 2 + 1};
     return std::optional<LocationInfo>(Info);
-  };
-  CubeRefiner Refine = [&TwoVal](const Cube &C) {
-    return refineCubeByLocations(C, TwoVal);
-  };
+  });
   Dnf D = Dnf::fromCubes({cube({Lit::neg(0)})}); // !h.L ==> h.E
-  semanticNormalize(D, Refine, TwoVal);
+  semanticNormalize(D, nullptr, TwoVal);
   ASSERT_EQ(D.size(), 1u);
   EXPECT_EQ(D.cubes()[0], cube({Lit::pos(1)}));
 }

@@ -1,6 +1,7 @@
 //===- SupportTest.cpp - Unit tests for the support library -------------------===//
 
 #include "support/BitSet.h"
+#include "support/FlatIndex.h"
 #include "support/Prng.h"
 #include "support/Stats.h"
 #include "support/Subprocess.h"
@@ -128,6 +129,29 @@ TEST(BitSet, ForEachVisitsInOrder) {
   std::vector<size_t> Seen;
   S.forEach([&](size_t I) { Seen.push_back(I); });
   EXPECT_EQ(Seen, Expected);
+}
+
+TEST(FlatIndex, MapsKeysToEveryInsertedValueAcrossGrowthAndClear) {
+  optabs::support::FlatIndex Index;
+  EXPECT_EQ(Index.find(7), optabs::support::FlatIndex::Missing);
+  // Enough entries to force several rehashes; key K % 100 repeats, so each
+  // key collects several values (multimap use).
+  for (uint32_t V = 0; V < 1000; ++V)
+    Index.insert(V % 100, V);
+  EXPECT_EQ(Index.size(), 1000u);
+  for (uint64_t K = 0; K < 100; ++K) {
+    std::set<uint32_t> Got;
+    Index.forEach(K, [&](uint32_t V) { Got.insert(V); });
+    ASSERT_EQ(Got.size(), 10u) << "key " << K;
+    for (uint32_t V : Got)
+      EXPECT_EQ(V % 100, K);
+    EXPECT_EQ(Index.find(K) % 100, K);
+  }
+  Index.clear();
+  EXPECT_EQ(Index.size(), 0u);
+  EXPECT_EQ(Index.find(3), optabs::support::FlatIndex::Missing);
+  Index.insert(3, 42);
+  EXPECT_EQ(Index.find(3), 42u);
 }
 
 TEST(Stats, MinMaxAvg) {
