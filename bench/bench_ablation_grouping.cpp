@@ -27,8 +27,8 @@ int main() {
       synth::Benchmark B = synth::generate(Suite[I]);
       escape::EscapeAnalysis A(B.P);
       tracer::TracerOptions Options;
-      Options.MaxItersPerQuery = 24;
-      Options.GroupQueries = Grouping;
+      Options.Cfg.Execution.MaxItersPerQuery = 24;
+      Options.Cfg.Execution.GroupQueries = Grouping;
       tracer::QueryDriver<escape::EscapeAnalysis> Driver(B.P, A, Options);
       Driver.run(B.EscChecks);
       T.addRow({Suite[I].Name, Grouping ? "on" : "off",

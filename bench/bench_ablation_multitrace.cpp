@@ -31,8 +31,8 @@ int main() {
     escape::EscapeAnalysis A(B.P);
     for (unsigned M : {1u, 2u, 4u}) {
       tracer::TracerOptions Options;
-      Options.MaxItersPerQuery = 24;
-      Options.TracesPerIteration = M;
+      Options.Cfg.Execution.MaxItersPerQuery = 24;
+      Options.Cfg.Execution.TracesPerIteration = M;
       tracer::QueryDriver<escape::EscapeAnalysis> Driver(B.P, A, Options);
       auto Outcomes = Driver.run(B.EscChecks);
       MinMaxAvg ProvenIters;

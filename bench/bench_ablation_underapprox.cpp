@@ -32,11 +32,12 @@ int main() {
       synth::Benchmark B = synth::generate(Suite[I]);
       escape::EscapeAnalysis A(B.P);
       tracer::TracerOptions Options;
-      Options.K = K;
-      Options.MaxItersPerQuery = 24;
-      Options.TimeBudgetSeconds = 30;
-      Options.ProductSoftCap = K == 0 ? 0 : 4096; // exact mode: no soft caps
-      Options.BackwardTimeoutSeconds = 5;
+      Options.Cfg.Execution.K = K;
+      Options.Cfg.Execution.MaxItersPerQuery = 24;
+      Options.Cfg.Budgets.TimeBudgetSeconds = 30;
+      // exact mode: no soft caps
+      Options.Cfg.Execution.ProductSoftCap = K == 0 ? 0 : 4096;
+      Options.Cfg.Budgets.BackwardTimeoutSeconds = 5;
       tracer::QueryDriver<escape::EscapeAnalysis> Driver(B.P, A, Options);
       auto Outcomes = Driver.run(B.EscChecks);
       unsigned Resolved = 0, Unresolved = 0;

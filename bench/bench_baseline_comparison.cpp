@@ -36,9 +36,9 @@ int main() {
          {SearchStrategy::Tracer, SearchStrategy::GreedyGrow,
           SearchStrategy::EliminateCurrent}) {
       tracer::TracerOptions Options;
-      Options.Strategy = S;
-      Options.MaxItersPerQuery = 24;
-      Options.TimeBudgetSeconds = 60;
+      Options.Cfg.Execution.Strategy = tracer::strategyName(S);
+      Options.Cfg.Execution.MaxItersPerQuery = 24;
+      Options.Cfg.Budgets.TimeBudgetSeconds = 60;
       tracer::QueryDriver<escape::EscapeAnalysis> Driver(B.P, A, Options);
       auto Outcomes = Driver.run(B.EscChecks);
       unsigned Proven = 0, Impossible = 0, Unresolved = 0;

@@ -23,9 +23,10 @@
 ///    every tool rejects unknown flags and malformed values identically.
 ///  * optabs::ir - the mini-IR: Program, parseProgram, printProgram.
 ///  * optabs::pointer / escape / typestate - the analysis clients.
-///  * optabs::tracer - QueryDriver, TracerOptions (a deprecated alias of
-///    Config, see TracerOptions::fromConfig), Verdict/QueryOutcome, the
-///    certificate checker, and the versioned JSONL event trace.
+///  * optabs::tracer - QueryDriver, TracerOptions (a Config plus the
+///    per-run cancellation token and backward step observer),
+///    Verdict/QueryOutcome, the certificate checker, and the versioned
+///    JSONL event trace.
 ///  * optabs::service - AnalysisService, Session, QueryResult, and the
 ///    versioned JSONL request/response protocol of optabs-serve.
 ///

@@ -29,15 +29,27 @@ QueryStat statOf(const tracer::QueryOutcome &O) {
   return S;
 }
 
-/// Folds one driver run's audit evidence (invariant records, certificate
-/// checks) into the client results.
+/// Folds one driver run into the client results: its outcomes, its
+/// statistics and its audit evidence (invariant records, certificate
+/// checks).
 template <typename Analysis>
-void auditRun(const ir::Program &P, const Analysis &A,
-              const HarnessOptions &Options,
-              const tracer::QueryDriver<Analysis> &Driver,
-              const std::vector<tracer::QueryOutcome> &Outcomes,
-              const std::string &Label, ClientResults &Out) {
-  const auto &Violations = Driver.stats().Violations;
+void foldRun(const ir::Program &P, const Analysis &A,
+             const HarnessOptions &Options,
+             const tracer::QueryDriver<Analysis> &Driver,
+             const std::vector<tracer::QueryOutcome> &Outcomes,
+             const std::string &Label, ClientResults &Out) {
+  for (const tracer::QueryOutcome &O : Outcomes)
+    Out.Queries.push_back(statOf(O));
+  const tracer::DriverStats &Stats = Driver.stats();
+  Out.ForwardRuns += Stats.ForwardRuns;
+  Out.BackwardRuns += Stats.BackwardRuns;
+  Out.CacheHits += Stats.CacheHits;
+  Out.CacheMisses += Stats.CacheMisses;
+  Out.CacheEvictions += Stats.CacheEvictions;
+  Out.Phases += Stats.Phases;
+  Out.BudgetExhausted += Stats.BudgetExhausted;
+  Out.Degradations += Stats.Degradations;
+  const auto &Violations = Stats.Violations;
   Out.InvariantViolations += Violations.size();
   for (const auto &V : Violations)
     Out.AuditNotes.push_back(Label + ": invariant [" + V.Check + "] in " +
@@ -48,8 +60,8 @@ void auditRun(const ir::Program &P, const Analysis &A,
   // GreedyGrow never promises minimal abstractions, so a cost mismatch
   // against the (empty) viable CNF would be a false alarm.
   CertOpts.CheckMinimality =
-      tracer::TracerOptions::fromConfig(Options.Cfg).Strategy !=
-      tracer::SearchStrategy::GreedyGrow;
+      Options.Cfg.Execution.Strategy !=
+      tracer::strategyName(tracer::SearchStrategy::GreedyGrow);
   tracer::CertificateChecker<Analysis> Checker(P, A, CertOpts);
   tracer::CertificateReport Report =
       Checker.check(Outcomes, Driver.finalViableSets());
@@ -68,21 +80,10 @@ void runEscape(const synth::Benchmark &B, const HarnessOptions &Options,
   Timer Total;
   escape::EscapeAnalysis A(B.P);
   tracer::TracerOptions Opts = tracer::TracerOptions::fromConfig(Options.Cfg);
-  if (!Opts.EventTracePath.empty())
-    Opts.EventTraceLabel = "escape";
+  if (!Opts.Cfg.Observability.EventTracePath.empty())
+    Opts.Cfg.Observability.EventTraceLabel = "escape";
   tracer::QueryDriver<escape::EscapeAnalysis> Driver(B.P, A, Opts);
-  std::vector<tracer::QueryOutcome> Outcomes = Driver.run(B.EscChecks);
-  for (const tracer::QueryOutcome &O : Outcomes)
-    Out.Queries.push_back(statOf(O));
-  Out.ForwardRuns += Driver.stats().ForwardRuns;
-  Out.BackwardRuns += Driver.stats().BackwardRuns;
-  Out.CacheHits += Driver.stats().CacheHits;
-  Out.CacheMisses += Driver.stats().CacheMisses;
-  Out.CacheEvictions += Driver.stats().CacheEvictions;
-  Out.Phases += Driver.stats().Phases;
-  Out.BudgetExhausted += Driver.stats().BudgetExhausted;
-  Out.Degradations += Driver.stats().Degradations;
-  auditRun(B.P, A, Options, Driver, Outcomes, "escape", Out);
+  foldRun(B.P, A, Options, Driver, Driver.run(B.EscChecks), "escape", Out);
   Out.TotalSeconds = Total.seconds();
 }
 
@@ -102,8 +103,7 @@ void runTypestate(const synth::Benchmark &B, const HarnessOptions &Options,
         [&](size_t H) { BySite[static_cast<uint32_t>(H)].push_back(Check); });
   }
 
-  tracer::TracerOptions Base = tracer::TracerOptions::fromConfig(Options.Cfg);
-  double Budget = Base.TimeBudgetSeconds;
+  double Budget = Options.Cfg.Budgets.TimeBudgetSeconds;
   for (auto &[SiteIdx, Checks] : BySite) {
     double Remaining = Budget - Total.seconds();
     if (Remaining <= 0) {
@@ -121,25 +121,15 @@ void runTypestate(const synth::Benchmark &B, const HarnessOptions &Options,
       continue;
     }
     typestate::TypestateAnalysis A(B.P, Spec, AllocId(SiteIdx), Pt);
-    tracer::TracerOptions PerSite = Base;
-    PerSite.TimeBudgetSeconds = Remaining;
+    tracer::TracerOptions PerSite =
+        tracer::TracerOptions::fromConfig(Options.Cfg);
+    PerSite.Cfg.Budgets.TimeBudgetSeconds = Remaining;
     std::string Label = "typestate/site=" + std::to_string(SiteIdx);
-    if (!PerSite.EventTracePath.empty())
-      PerSite.EventTraceLabel = Label;
+    if (!PerSite.Cfg.Observability.EventTracePath.empty())
+      PerSite.Cfg.Observability.EventTraceLabel = Label;
     tracer::QueryDriver<typestate::TypestateAnalysis> Driver(B.P, A,
                                                              PerSite);
-    std::vector<tracer::QueryOutcome> Outcomes = Driver.run(Checks);
-    for (const tracer::QueryOutcome &O : Outcomes)
-      Out.Queries.push_back(statOf(O));
-    Out.ForwardRuns += Driver.stats().ForwardRuns;
-    Out.BackwardRuns += Driver.stats().BackwardRuns;
-    Out.CacheHits += Driver.stats().CacheHits;
-    Out.CacheMisses += Driver.stats().CacheMisses;
-    Out.CacheEvictions += Driver.stats().CacheEvictions;
-    Out.Phases += Driver.stats().Phases;
-    Out.BudgetExhausted += Driver.stats().BudgetExhausted;
-    Out.Degradations += Driver.stats().Degradations;
-    auditRun(B.P, A, Options, Driver, Outcomes, Label, Out);
+    foldRun(B.P, A, Options, Driver, Driver.run(Checks), Label, Out);
   }
   Out.TotalSeconds = Total.seconds();
 }

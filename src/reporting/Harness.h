@@ -93,16 +93,14 @@ struct BenchRun {
 };
 
 /// Knobs for a harness run: the unified optabs::Config plus the three
-/// harness-only switches. The deprecated per-field aliases (a writable
-/// TracerOptions, Audit, EventTracePath, ...) are gone - poke Cfg
-/// directly:
+/// harness-only switches. Set Cfg directly:
 ///
 ///   HarnessOptions O;
 ///   O.Cfg.Execution.NumThreads = 4;
 ///   O.Cfg.Audit.Enabled = true;
 ///   O.Cfg.Observability.EventTracePath = "/tmp/trace.jsonl";
 ///
-/// Execution/Budgets reach the drivers through TracerOptions::fromConfig;
+/// Execution/Budgets reach the drivers as TracerOptions::fromConfig(Cfg);
 /// Audit.Enabled arms invariant recording plus certificate checking;
 /// the Observability paths are honored per client (the harness stamps the
 /// per-client event-trace labels - "escape", "typestate/site=N" -

@@ -1012,7 +1012,7 @@ struct AnalysisService::Impl {
       return R;
 
     tracer::TracerOptions O = tracer::TracerOptions::fromConfig(B.Cfg);
-    O.EventTraceLabel = TraceLabel;
+    O.Cfg.Observability.EventTraceLabel = TraceLabel;
     const std::vector<uint64_t> *MinData =
         B.MinDataByCheck.empty() ? nullptr : &B.MinDataByCheck;
 

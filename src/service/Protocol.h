@@ -291,16 +291,16 @@ public:
     auto It = Fields.find(Key);
     if (It == Fields.end() || It->second.K != Kind::Number)
       return std::nullopt;
-    const std::string &S = It->second.S;
-    if (S.empty() || S[0] == '-')
+    return digits(It->second.S, 0, UINT64_MAX);
+  }
+
+  /// getUInt narrowed to 32 bits: nullopt also when the value does not
+  /// fit, so an oversized id is rejected instead of wrapping.
+  std::optional<uint32_t> getUInt32(const std::string &Key) const {
+    std::optional<uint64_t> V = getUInt(Key);
+    if (!V || *V > UINT32_MAX)
       return std::nullopt;
-    uint64_t V = 0;
-    for (char C : S) {
-      if (C < '0' || C > '9')
-        return std::nullopt; // doubles are not valid where uints go
-      V = V * 10 + static_cast<uint64_t>(C - '0');
-    }
-    return V;
+    return static_cast<uint32_t>(*V);
   }
 
   std::optional<int64_t> getInt(const std::string &Key) const {
@@ -309,16 +309,11 @@ public:
       return std::nullopt;
     const std::string &S = It->second.S;
     bool Neg = !S.empty() && S[0] == '-';
-    uint64_t V = 0;
-    for (size_t I = Neg ? 1 : 0; I < S.size(); ++I) {
-      char C = S[I];
-      if (C < '0' || C > '9')
-        return std::nullopt;
-      V = V * 10 + static_cast<uint64_t>(C - '0');
-    }
-    if (S.size() == (Neg ? 1u : 0u))
+    std::optional<uint64_t> V =
+        digits(S, Neg ? 1 : 0, uint64_t(INT64_MAX) + (Neg ? 1 : 0));
+    if (!V)
       return std::nullopt;
-    return Neg ? -static_cast<int64_t>(V) : static_cast<int64_t>(V);
+    return Neg ? static_cast<int64_t>(0 - *V) : static_cast<int64_t>(*V);
   }
 
   std::optional<bool> getBool(const std::string &Key) const {
@@ -333,6 +328,28 @@ private:
     Kind K = Kind::String;
     std::string S;
   };
+
+  /// The decimal digits of \p S from \p From on, as a value no larger
+  /// than \p Max; nullopt when there are none, when anything else appears
+  /// (a sign, a fraction or an exponent: doubles are not valid where
+  /// integers go) or when the value exceeds \p Max.
+  static std::optional<uint64_t> digits(const std::string &S, size_t From,
+                                        uint64_t Max) {
+    if (From >= S.size())
+      return std::nullopt;
+    uint64_t V = 0;
+    for (size_t I = From; I < S.size(); ++I) {
+      char C = S[I];
+      if (C < '0' || C > '9')
+        return std::nullopt;
+      uint64_t D = static_cast<uint64_t>(C - '0');
+      if (V > (Max - D) / 10)
+        return std::nullopt;
+      V = V * 10 + D;
+    }
+    return V;
+  }
+
   std::map<std::string, Value> Fields;
 };
 
@@ -353,6 +370,28 @@ inline std::string errorLine(const std::string &Op, const std::string &Msg) {
     O.field("op", Op);
   O.field("error", Msg);
   return O.str();
+}
+
+/// Why a submit request's job fields do not fit the job they name: "check"
+/// and the optional "site" must be unsigned 32-bit integers, the optional
+/// "priority" a signed 32-bit one. Empty when they fit. Narrowing an
+/// oversized value would silently answer a different query.
+inline std::string submitRangeError(const JsonLine &Req) {
+  auto NotU32 = [](const char *Key) {
+    return std::string("field '") + Key +
+           "' must be an unsigned integer no larger than 4294967295";
+  };
+  if (!Req.getUInt32("check"))
+    return NotU32("check");
+  if (Req.has("site") && !Req.getUInt32("site"))
+    return NotU32("site");
+  if (Req.has("priority")) {
+    std::optional<int64_t> P = Req.getInt("priority");
+    if (!P || *P < INT32_MIN || *P > INT32_MAX)
+      return "field 'priority' must be an integer in [-2147483648, "
+             "2147483647]";
+  }
+  return "";
 }
 
 } // namespace service

@@ -746,9 +746,13 @@ bool ShardRouter::handleLine(const std::string &Line,
     EmitObj(O);
   } else if (*Op == "submit") {
     auto Sess = Req.getUInt("session");
-    auto Check = Req.getUInt("check");
-    if (!Sess || !Check) {
+    if (!Sess || !Req.has("check")) {
       Emit(errorLine(*Op, "submit needs 'session' and 'check'"));
+      return true;
+    }
+    std::string RangeErr = submitRangeError(Req);
+    if (!RangeErr.empty()) {
+      Emit(errorLine(*Op, RangeErr));
       return true;
     }
     auto SIt = Sessions.find(*Sess);
@@ -759,7 +763,7 @@ bool ShardRouter::handleLine(const std::string &Line,
     JobRec J;
     J.SupSession = *Sess;
     J.Shard = SIt->second.Shard;
-    J.Check = static_cast<uint32_t>(*Check);
+    J.Check = *Req.getUInt32("check");
     if (auto Site = Req.getUInt("site")) {
       J.Site = *Site;
       J.HasSite = true;

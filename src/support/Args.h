@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -66,8 +67,12 @@ public:
     Specs.push_back({Name, Help, /*TakesValue=*/true,
                      [Out](const std::string &V, std::string &Err) {
                        uint64_t N;
-                       if (!parseU64(V, N)) {
-                         Err = "expected an unsigned integer";
+                       if (!parseU64(V, N) ||
+                           N > std::numeric_limits<UIntT>::max()) {
+                         Err = "expected an unsigned integer no larger "
+                               "than " +
+                               std::to_string(
+                                   std::numeric_limits<UIntT>::max());
                          return false;
                        }
                        *Out = static_cast<UIntT>(N);

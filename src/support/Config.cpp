@@ -2,7 +2,9 @@
 
 #include "support/Config.h"
 
+#include <cerrno>
 #include <cstdlib>
+#include <limits>
 
 namespace optabs {
 
@@ -14,14 +16,17 @@ void addError(std::vector<ConfigError> *Errors, const std::string &Field,
     Errors->push_back(ConfigError{Field, Message});
 }
 
-/// Parses \p Text fully as an unsigned integer; false on any junk.
-bool parseU64(const std::string &Text, uint64_t &Out) {
+/// Parses \p Text fully as an unsigned integer no larger than \p Max;
+/// false on any junk and on values the destination cannot hold.
+bool parseU64(const std::string &Text, uint64_t &Out,
+              uint64_t Max = std::numeric_limits<uint64_t>::max()) {
   if (Text.empty())
     return false;
   char *End = nullptr;
   errno = 0;
   unsigned long long V = std::strtoull(Text.c_str(), &End, 10);
-  if (errno != 0 || End != Text.c_str() + Text.size() || Text[0] == '-')
+  if (errno != 0 || End != Text.c_str() + Text.size() || Text[0] == '-' ||
+      V > Max)
     return false;
   Out = static_cast<uint64_t>(V);
   return true;
@@ -52,6 +57,20 @@ void envOverride(const char *Var, const std::string &Field,
              std::string("malformed value '") + Raw + "' in " + Var);
 }
 
+/// An unsigned-integer override of \p Out; values \p Out cannot hold are
+/// malformed (a bool field takes 0 or 1).
+template <typename UIntT>
+void envUInt(const char *Var, const std::string &Field,
+             std::vector<ConfigError> *Errors, UIntT &Out) {
+  envOverride(Var, Field, Errors, [&](const std::string &V) {
+    uint64_t N;
+    if (!parseU64(V, N, std::numeric_limits<UIntT>::max()))
+      return false;
+    Out = static_cast<UIntT>(N);
+    return true;
+  });
+}
+
 } // namespace
 
 std::string formatConfigErrors(const std::vector<ConfigError> &Errors) {
@@ -76,21 +95,9 @@ Config Config::fromEnv(std::vector<ConfigError> *Errors) {
     C.Observability.ProfilePath = Path;
   if (const char *Path = std::getenv("OPTABS_EVENT_TRACE"))
     C.Observability.EventTracePath = Path;
-  envOverride("OPTABS_THREADS", "execution.num_threads", Errors,
-              [&](const std::string &V) {
-                uint64_t N;
-                if (!parseU64(V, N))
-                  return false;
-                C.Execution.NumThreads = static_cast<unsigned>(N);
-                return true;
-              });
-  envOverride("OPTABS_K", "execution.k", Errors, [&](const std::string &V) {
-    uint64_t N;
-    if (!parseU64(V, N))
-      return false;
-    C.Execution.K = static_cast<unsigned>(N);
-    return true;
-  });
+  envUInt("OPTABS_THREADS", "execution.num_threads", Errors,
+          C.Execution.NumThreads);
+  envUInt("OPTABS_K", "execution.k", Errors, C.Execution.K);
   envOverride("OPTABS_STRATEGY", "execution.strategy", Errors,
               [&](const std::string &V) {
                 if (!isKnownStrategy(V))
@@ -98,14 +105,8 @@ Config Config::fromEnv(std::vector<ConfigError> *Errors) {
                 C.Execution.Strategy = V;
                 return true;
               });
-  envOverride("OPTABS_CACHE_CAPACITY", "execution.forward_cache_capacity",
-              Errors, [&](const std::string &V) {
-                uint64_t N;
-                if (!parseU64(V, N))
-                  return false;
-                C.Execution.ForwardCacheCapacity = static_cast<size_t>(N);
-                return true;
-              });
+  envUInt("OPTABS_CACHE_CAPACITY", "execution.forward_cache_capacity",
+          Errors, C.Execution.ForwardCacheCapacity);
   envOverride("OPTABS_STEP_BUDGET", "budgets.step_budget", Errors,
               [&](const std::string &V) {
                 uint64_t N;
@@ -126,46 +127,24 @@ Config Config::fromEnv(std::vector<ConfigError> *Errors) {
               });
   envOverride("OPTABS_MEMORY_BUDGET_MB", "budgets.memory_budget_bytes",
               Errors, [&](const std::string &V) {
+                constexpr uint64_t MiB = 1024 * 1024;
                 uint64_t N;
-                if (!parseU64(V, N))
+                if (!parseU64(V, N,
+                              std::numeric_limits<uint64_t>::max() / MiB))
                   return false;
-                C.Budgets.MemoryBudgetBytes = N * 1024 * 1024;
+                C.Budgets.MemoryBudgetBytes = N * MiB;
                 return true;
               });
-  envOverride("OPTABS_INCREMENTAL", "service.incremental_re_register",
-              Errors, [&](const std::string &V) {
-                uint64_t N;
-                if (!parseU64(V, N) || N > 1)
-                  return false;
-                C.Service.IncrementalReRegister = N == 1;
-                return true;
-              });
-  envOverride("OPTABS_SERVICE_TRACE", "observability.service_trace",
-              Errors, [&](const std::string &V) {
-                uint64_t N;
-                if (!parseU64(V, N) || N > 1)
-                  return false;
-                C.Observability.ServiceTrace = N == 1;
-                return true;
-              });
+  envUInt("OPTABS_INCREMENTAL", "service.incremental_re_register", Errors,
+          C.Service.IncrementalReRegister);
+  envUInt("OPTABS_SERVICE_TRACE", "observability.service_trace", Errors,
+          C.Observability.ServiceTrace);
   if (const char *Dir = std::getenv("OPTABS_CACHE_DIR"))
     C.Service.CacheDir = Dir;
-  envOverride("OPTABS_SPILL_BYTES", "service.spill_bytes", Errors,
-              [&](const std::string &V) {
-                uint64_t N;
-                if (!parseU64(V, N))
-                  return false;
-                C.Service.SpillBytes = N;
-                return true;
-              });
-  envOverride("OPTABS_PERSIST_ON_SHUTDOWN", "service.persist_on_shutdown",
-              Errors, [&](const std::string &V) {
-                uint64_t N;
-                if (!parseU64(V, N) || N > 1)
-                  return false;
-                C.Service.PersistOnShutdown = N == 1;
-                return true;
-              });
+  envUInt("OPTABS_SPILL_BYTES", "service.spill_bytes", Errors,
+          C.Service.SpillBytes);
+  envUInt("OPTABS_PERSIST_ON_SHUTDOWN", "service.persist_on_shutdown",
+          Errors, C.Service.PersistOnShutdown);
   return C;
 }
 
@@ -191,12 +170,13 @@ std::vector<ConfigError> Config::validate() const {
     Reject("execution.product_soft_cap",
            "the Dnf::product soft cap must be at least 1");
   // (4) Budgets must be positive where zero has no 'unbounded' meaning.
-  if (Budgets.TimeBudgetSeconds <= 0)
+  // Written as negated comparisons so NaN (every comparison false) fails.
+  if (!(Budgets.TimeBudgetSeconds > 0))
     Reject("budgets.time_budget_seconds", "must be positive");
-  if (Budgets.BackwardTimeoutSeconds < 0)
+  if (!(Budgets.BackwardTimeoutSeconds >= 0))
     Reject("budgets.backward_timeout_seconds", "must be non-negative");
   // (5) Wall-clock timeouts are schedule-dependent; they cannot coexist
-  // with a determinism claim (previously only a comment on TracerOptions).
+  // with a determinism claim.
   if (Execution.Deterministic && Budgets.BackwardTimeoutSeconds > 0)
     Reject("budgets.backward_timeout_seconds",
            "a wall-clock backward timeout is schedule-dependent and "
@@ -224,7 +204,7 @@ std::vector<ConfigError> Config::validate() const {
            "a service trace export path requires "
            "observability.service_trace");
   // (11) A negative slow-query threshold is meaningless (0 disables).
-  if (Observability.SlowQuerySeconds < 0)
+  if (!(Observability.SlowQuerySeconds >= 0))
     Reject("observability.slow_query_seconds", "must be non-negative");
   // (8) Service quotas must admit at least one job per tenant.
   if (Service.MaxPendingPerSession == 0)

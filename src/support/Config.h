@@ -8,9 +8,10 @@
 /// \file
 /// optabs::Config is the one public knob surface of the library. Every
 /// entry point - the CLI, the analysis service, the experiment harness -
-/// builds its execution options from a Config, and the legacy option
-/// structs (tracer::TracerOptions, reporting::HarnessOptions) are thin
-/// deprecated aliases constructed from it.
+/// builds its execution options from a Config. The driver reads it as is:
+/// tracer::TracerOptions is a Config plus the per-run hooks (cancellation
+/// token, backward step observer) that a Config cannot carry, and
+/// reporting::HarnessOptions is a Config plus three harness switches.
 ///
 /// Three rules, enforced in exactly one place each:
 ///
@@ -19,8 +20,8 @@
 ///    explicit settings on top; nothing else reads OPTABS_* variables.
 ///  * Validation: validate() returns structured ConfigErrors for every
 ///    invalid combination. The checks below replace what used to be
-///    comments scattered across TracerOptions (e.g. "a nonzero backward
-///    timeout makes results timing-dependent").
+///    comments scattered across the driver options (e.g. "a nonzero
+///    backward timeout makes results timing-dependent").
 ///  * Sections: Execution (how the search runs), Budgets (when it stops),
 ///    Observability (what it records), Audit (how it is checked), Service
 ///    (multi-tenant quotas).
@@ -31,7 +32,8 @@
 ///   2. execution.traces_per_iteration == 0 (at least one counterexample
 ///      per failed iteration)
 ///   3. execution.max_iters_per_query == 0 (the CEGAR loop needs a round)
-///   4. budgets.time_budget_seconds <= 0 (and any negative budget)
+///   4. budgets.time_budget_seconds not positive, or
+///      budgets.backward_timeout_seconds negative (NaN fails both)
 ///   5. budgets.backward_timeout_seconds > 0 while execution.deterministic
 ///      claims worker-count reproducibility (wall-clock timeouts are
 ///      schedule-dependent; use budgets.backward_step_budget instead)
@@ -45,8 +47,8 @@
 ///      able to hold at least one event)
 ///  10. observability.service_trace_jsonl_path or _chrome_path set while
 ///      observability.service_trace is off (the export would be empty)
-///  11. observability.slow_query_seconds < 0 (0 disables the slow-query
-///      log; negative thresholds are meaningless)
+///  11. observability.slow_query_seconds negative or NaN (0 disables the
+///      slow-query log; negative thresholds are meaningless)
 ///  12. service.spill_bytes or service.persist_on_shutdown set without a
 ///      service.cache_dir (the persistent tier has nowhere to write)
 ///
@@ -86,12 +88,6 @@ struct Config {
     unsigned NumThreads = 1;
     /// Forward-run cache entry cap (LRU); 0 = unbounded.
     size_t ForwardCacheCapacity = 0;
-    /// Liveness-based dead-variable pruning of forward states (exact
-    /// optimization; disable only to debug or to compare footprints).
-    bool PruneDeadVars = true;
-    /// Loop-segment compression of counterexample traces in the backward
-    /// meta-analysis (exact optimization; see meta/TraceSegments.h).
-    bool CompressTraces = true;
     /// Claim bitwise worker-count reproducibility. Purely declarative: it
     /// does not change execution, but validate() rejects any knob (e.g. a
     /// wall-clock backward timeout) that would break the claim.
@@ -99,21 +95,28 @@ struct Config {
   };
 
   /// When the search stops: deterministic logical-step budgets per kernel,
-  /// plus the schedule-dependent wall-clock limits.
+  /// plus the schedule-dependent wall-clock limits. 0 = unbounded for all
+  /// but the time budget. An exhausted budget leaves the affected queries
+  /// Unresolved with an Exhausted record, never Impossible; step budgets
+  /// count logical work, so they cut at the same step for any NumThreads.
   struct BudgetConfig {
     double TimeBudgetSeconds = 1e12;   ///< whole-driver wall clock
     double BackwardTimeoutSeconds = 0; ///< per-trace meta-analysis timeout
     uint64_t ForwardStepBudget = 0;    ///< forward state visits per fixpoint
-    uint64_t BackwardStepBudget = 0;   ///< backward wp steps per trace
+    uint64_t BackwardStepBudget = 0;   ///< wp steps + product terms per trace
     uint64_t SolverDecisionBudget = 0; ///< MinCostSat branch decisions
-    uint64_t MemoryBudgetBytes = 0;    ///< cache ceiling -> degradation ladder
+    /// Forward-run cache ceiling, checked at round boundaries. Exceeding it
+    /// walks the degradation ladder: spill or evict the cache, then halve
+    /// the dropk beam, then analyze one trace per iteration.
+    uint64_t MemoryBudgetBytes = 0;
   };
 
   /// What the run records. All default from OPTABS_* via fromEnv().
   struct ObservabilityConfig {
     std::string MetricsPath;     ///< Prometheus text dump (OPTABS_METRICS)
     std::string ProfilePath;     ///< Chrome trace JSON (OPTABS_CHROME_TRACE)
-    std::string EventTracePath;  ///< JSONL CEGAR trace (OPTABS_EVENT_TRACE)
+    /// JSONL CEGAR trace (OPTABS_EVENT_TRACE); appended, never truncated.
+    std::string EventTracePath;
     std::string EventTraceLabel; ///< label stamped on every event line
     /// Request-scoped tracing in the analysis service (support/Trace.h):
     /// per-job lifecycle timelines in a bounded flight recorder, drained

@@ -41,17 +41,18 @@
 ///   };
 /// \endcode
 ///
-/// Concurrency (TracerOptions::NumThreads): each round is a sequence of
-/// barrier-separated stages - plan (sequential), forward-run construction
-/// (parallel per distinct abstraction), query classification (parallel per
-/// query, read-only), trace extraction (parallel per forward run), backward
-/// meta-analysis (parallel per counterexample trace, one BackwardMetaAnalysis
-/// instance per worker), merge (sequential, in query order). All results and
-/// non-timing statistics are bitwise independent of the worker count because
-/// every parallel stage writes into pre-sized slots that the sequential merge
-/// folds in the same order the single-threaded driver would. Completed
-/// forward runs are memoized across rounds, queries, and run() calls in a
-/// ForwardRunCache keyed by the abstraction bit-vector.
+/// Concurrency (Config::ExecutionConfig::NumThreads): each round is a
+/// sequence of barrier-separated stages - plan (sequential), forward-run
+/// construction (parallel per distinct abstraction), query classification
+/// (parallel per query, read-only), trace extraction (parallel per forward
+/// run), backward meta-analysis (parallel per counterexample trace, one
+/// BackwardMetaAnalysis instance per worker), merge (sequential, in query
+/// order). All results and non-timing statistics are bitwise independent
+/// of the worker count because every parallel stage writes into pre-sized
+/// slots that the sequential merge folds in the same order the
+/// single-threaded driver would. Completed forward runs are memoized across
+/// rounds, queries, and run() calls in a ForwardRunCache keyed by the
+/// abstraction bit-vector.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -171,134 +172,28 @@ inline bool parseStrategy(const std::string &Name, SearchStrategy &Out) {
   return true;
 }
 
-/// Tuning knobs (defaults follow the paper's chosen operating point k=5).
+/// Per-run driver options: the configuration (support/Config.h; defaults
+/// follow the paper's operating point k=5) plus the two per-run hooks a
+/// Config cannot carry. The driver reads Cfg.Execution, Cfg.Budgets and
+/// Cfg.Observability directly; an unknown Cfg.Execution.Strategy falls
+/// back to Tracer (Config::validate() rejects it before any well-behaved
+/// caller gets this far).
 struct TracerOptions {
-  unsigned K = 5;                  ///< dropk beam width; 0 = no underapprox
-  unsigned MaxItersPerQuery = 100; ///< per-query iteration budget
-  double TimeBudgetSeconds = 1e12; ///< whole-driver wall-clock budget
-  bool GroupQueries = true;        ///< §6 unviable-set grouping
-  size_t ProductSoftCap = 4096;
-  /// Per-trace budget for the backward meta-analysis; 0 = unbounded. A
-  /// timed-out meta-analysis run leaves its query unresolved (this is how
-  /// the exact-mode configuration of §6 times out). Note: a nonzero
-  /// timeout makes results timing-dependent, so the worker-count
-  /// determinism guarantee only holds when it is 0.
-  double BackwardTimeoutSeconds = 0;
-  /// Logical-step budget per forward fixpoint (counted state visits);
-  /// 0 = unbounded. Deterministic: each fixpoint task counts its own
-  /// visits, so exhaustion cuts the run at the same visit for any
-  /// NumThreads — the reproducible alternative to wall-clock timeouts. An
-  /// exhausted fixpoint is a partial under-fixpoint: it is never cached or
-  /// classified against, and its queries end Unresolved.
-  uint64_t ForwardStepBudget = 0;
-  /// Logical-step budget per backward trace run (counted wp steps plus
-  /// Dnf::product terms); 0 = unbounded. Deterministic like
-  /// ForwardStepBudget; an exhausted run is discarded exactly like a
-  /// BackwardTimeoutSeconds timeout (sound: nothing is learned).
-  uint64_t BackwardStepBudget = 0;
-  /// Logical-step budget per min-cost SAT solve (counted branch
-  /// decisions); 0 = unbounded. An aborted solve leaves its group
-  /// Unresolved — never Impossible, since an unfinished search proves no
-  /// unsatisfiability.
-  uint64_t SolverDecisionBudget = 0;
-  /// Ceiling on the forward-run cache's resident bytes, checked at every
-  /// round boundary; 0 = unbounded. Exceeding it walks the graceful-
-  /// degradation ladder (spill the cache to disk when a spill store is
-  /// armed, else evict it; then halve the dropk beam, then drop to one
-  /// trace per iteration), each rung a sound harder
-  /// under-approximation, each recorded as a `degrade` event and counted
-  /// in DriverStats::Degradations. Resident bytes are a deterministic
-  /// function of the cached runs, so the ladder fires identically at any
-  /// NumThreads. TRACER strategy only (GreedyGrow has no rounds).
-  uint64_t MemoryBudgetBytes = 0;
+  optabs::Config Cfg;
   /// Optional shared cancellation token. All kernels poll it cooperatively
   /// and unwind at their next unit of work when it is requested; affected
   /// queries end Unresolved with an `Exhausted{cancelled, ...}` record.
   /// Cancellation is inherently schedule-dependent, so the worker-count
   /// determinism guarantee only covers runs where it never fires.
   std::shared_ptr<support::CancelToken> Cancel;
-  /// Abstraction-selection strategy (see SearchStrategy).
-  SearchStrategy Strategy = SearchStrategy::Tracer;
-  /// Counterexamples analyzed per failed iteration. 1 reproduces the
-  /// paper; larger values analyze several distinct failing states' traces
-  /// and conjoin everything learned - a lightweight realization of §8's
-  /// "DAG counterexamples" direction.
-  unsigned TracesPerIteration = 1;
-  /// Worker threads for the per-round forward analyses and the per-trace
-  /// backward meta-analysis. 1 = fully sequential (no threads spawned);
-  /// 0 = one worker per hardware thread. Verdicts, costs, iteration
-  /// counts, and all non-timing statistics are identical for every value.
-  unsigned NumThreads = 1;
-  /// Entry cap of the cross-round forward-run cache (LRU eviction);
-  /// 0 = unbounded. Entries in use by the current round are never evicted,
-  /// so the cache may transiently exceed the cap.
-  size_t ForwardCacheCapacity = 0;
-  /// Liveness-based dead-variable pruning: compute per-command live-out
-  /// sets once per program and forget dead variables before interning
-  /// forward states. Shrinks the interned state space (and the forward
-  /// cache's resident bytes) without changing any verdict - the pruned
-  /// components are exactly those no later read, check, or backward
-  /// formula can observe (see DESIGN.md).
-  bool PruneDeadVars = true;
-  /// Loop-aware compression of extracted counterexample traces: detect
-  /// repeated (command, state) segments at extraction time and let the
-  /// backward meta-analysis skip repetitions once its formula stabilizes
-  /// across one of them. Exact, not approximate - see meta/TraceSegments.h.
-  bool CompressTraces = true;
-  /// When nonempty, a JSONL CEGAR event trace (tracer/EventTrace.h) is
-  /// appended to this path. The driver appends and never truncates, so a
-  /// harness running several clients can interleave them into one file;
-  /// truncation is the CLI's job, once, at startup.
-  std::string EventTracePath;
-  /// Value of the "label" field stamped on every emitted event (e.g. the
-  /// client name), distinguishing interleaved runs.
-  std::string EventTraceLabel;
   /// Forwarded to BackwardConfig::StepObserver for every backward run.
   /// When more than one worker is active the driver serializes the calls
   /// behind a mutex, so a single callable can observe all workers' steps.
   std::function<void(size_t, const ir::Command &, const formula::Dnf &)>
       BackwardStepObserver;
-  /// When nonempty, enables the process-wide metrics layer (if not already
-  /// on) and writes a Prometheus-style text dump of every registered
-  /// metric to this path at the end of run(). The dump is cumulative over
-  /// the process (the registry is global) and rewritten on every run(), so
-  /// the last driver to finish leaves the complete picture.
-  std::string MetricsPath;
-  /// When nonempty, enables the metrics layer and writes a Chrome
-  /// trace-event JSON (chrome://tracing / Perfetto loadable; one track per
-  /// ThreadPool worker) of all spans recorded so far to this path at the
-  /// end of run(). Cumulative and rewritten like MetricsPath.
-  std::string ProfilePath;
 
-  /// Builds driver options from the unified public configuration surface
-  /// (support/Config.h). TracerOptions is a deprecated alias kept for the
-  /// library internals: new code should carry an optabs::Config (validated
-  /// once at the entry point) and convert here, at the driver boundary. An
-  /// unknown strategy name falls back to Tracer - Config::validate()
-  /// rejects it before any well-behaved caller gets this far.
   static TracerOptions fromConfig(const optabs::Config &C) {
-    TracerOptions O;
-    O.K = C.Execution.K;
-    O.MaxItersPerQuery = C.Execution.MaxItersPerQuery;
-    O.GroupQueries = C.Execution.GroupQueries;
-    O.ProductSoftCap = C.Execution.ProductSoftCap;
-    O.TracesPerIteration = C.Execution.TracesPerIteration;
-    parseStrategy(C.Execution.Strategy, O.Strategy);
-    O.NumThreads = C.Execution.NumThreads;
-    O.ForwardCacheCapacity = C.Execution.ForwardCacheCapacity;
-    O.PruneDeadVars = C.Execution.PruneDeadVars;
-    O.CompressTraces = C.Execution.CompressTraces;
-    O.TimeBudgetSeconds = C.Budgets.TimeBudgetSeconds;
-    O.BackwardTimeoutSeconds = C.Budgets.BackwardTimeoutSeconds;
-    O.ForwardStepBudget = C.Budgets.ForwardStepBudget;
-    O.BackwardStepBudget = C.Budgets.BackwardStepBudget;
-    O.SolverDecisionBudget = C.Budgets.SolverDecisionBudget;
-    O.MemoryBudgetBytes = C.Budgets.MemoryBudgetBytes;
-    O.EventTracePath = C.Observability.EventTracePath;
-    O.EventTraceLabel = C.Observability.EventTraceLabel;
-    O.MetricsPath = C.Observability.MetricsPath;
-    O.ProfilePath = C.Observability.ProfilePath;
-    return O;
+    return {C, {}, {}};
   }
 };
 
@@ -367,13 +262,13 @@ public:
   using Backward = meta::BackwardMetaAnalysis<Analysis>;
 
   QueryDriver(const ir::Program &P, const Analysis &A,
-              TracerOptions Options = TracerOptions())
-      : P(P), A(A), Options(Options) {
-    // Live-variable sets are a property of the program alone: computed once
-    // here, shared by every forward run this driver builds.
-    if (this->Options.PruneDeadVars)
-      Liveness.emplace(P);
+              const TracerOptions &Options = TracerOptions())
+      : P(P), A(A), Options(Options), Liveness(P) {
+    parseStrategy(Exec.Strategy, Strategy);
   }
+  // Exec, Budgets and Obs refer into this object's own Options.
+  QueryDriver(const QueryDriver &) = delete;
+  QueryDriver &operator=(const QueryDriver &) = delete;
 
   /// Service injection: runs this driver against a thread pool and a
   /// forward-run cache owned by someone else (the AnalysisService shares
@@ -383,7 +278,7 @@ public:
   /// reports per-run deltas instead), stamps \p ProgramEpoch / \p Family
   /// into every cache key so shards shared across program registrations
   /// and analysis families stay disjoint, and sizes its per-worker scratch
-  /// from the borrowed pool (TracerOptions::NumThreads is ignored). The
+  /// from the borrowed pool (Exec.NumThreads is ignored). The
   /// borrowed cache's single-threaded contract carries over: the owner
   /// must not run two drivers against one cache concurrently.
   /// The trailing trace parameters thread the service's request context
@@ -423,14 +318,14 @@ public:
 
   /// Resolves all \p Queries; the result vector is parallel to the input.
   std::vector<QueryOutcome> run(const std::vector<ir::CheckId> &Queries) {
-    if ((!Options.MetricsPath.empty() || !Options.ProfilePath.empty()) &&
+    if ((!Obs.MetricsPath.empty() || !Obs.ProfilePath.empty()) &&
         !support::metricsEnabled())
       support::setMetricsEnabled(true);
     std::vector<QueryOutcome> Outcomes;
     {
       // Closed before export: open spans are skipped by the exporters.
       support::ScopedSpan RunSpan("tracer.run");
-      Outcomes = Options.Strategy == SearchStrategy::GreedyGrow
+      Outcomes = Strategy == SearchStrategy::GreedyGrow
                      ? runGreedy(Queries)
                      : runTracer(Queries);
     }
@@ -439,27 +334,53 @@ public:
   }
 
 private:
-  std::vector<QueryOutcome> runTracer(const std::vector<ir::CheckId> &Queries) {
-    Timer Total;
+  /// The prologue both strategies share: resets the per-run state and
+  /// opens the event trace with its run_begin line. Returns the run's
+  /// cancellation token. A token always exists so injected Cancel faults
+  /// at gateless sites (cache.insert, driver.schedule) have something to
+  /// act on even when the caller passed none.
+  std::shared_ptr<support::CancelToken>
+  beginRun(size_t NumQueries, unsigned Threads, EventTraceWriter &Trace) {
     Stats = DriverStats();
     Sink.clear();
     LastViable.clear();
     if (!BorrowedCache) {
       // A borrowed (service-shared) cache keeps its capacity and counters
       // across runs; the stats below report this run's deltas.
-      OwnedCache.setCapacity(Options.ForwardCacheCapacity);
+      OwnedCache.setCapacity(Exec.ForwardCacheCapacity);
       OwnedCache.resetCounters();
     }
     BaseCounters = cache().counters();
-    EventTraceWriter Trace;
-    if (!Options.EventTracePath.empty())
-      Trace.open(Options.EventTracePath, Options.EventTraceLabel);
+    if (!Obs.EventTracePath.empty())
+      Trace.open(Obs.EventTracePath, Obs.EventTraceLabel);
     if (Trace.enabled())
       Trace.write(Trace.event("run_begin")
-                      .field("queries", Queries.size())
-                      .field("strategy", strategyName(Options.Strategy))
-                      .field("k", Options.K)
-                      .field("threads", effectiveWorkers()));
+                      .field("queries", NumQueries)
+                      .field("strategy", strategyName(Strategy))
+                      .field("k", Exec.K)
+                      .field("threads", Threads));
+    return Options.Cancel ? Options.Cancel
+                          : std::make_shared<support::CancelToken>();
+  }
+
+  /// The backward meta-analysis settings of this run.
+  meta::BackwardConfig backwardConfig(support::CancelToken *Cancel) {
+    meta::BackwardConfig C;
+    C.K = Exec.K;
+    C.ProductSoftCap = Exec.ProductSoftCap;
+    C.TimeoutSeconds = Budgets.BackwardTimeoutSeconds;
+    C.StepBudget = Budgets.BackwardStepBudget;
+    C.Cancel = Cancel;
+    C.Invariants = &Sink;
+    C.StepObserver = Options.BackwardStepObserver;
+    return C;
+  }
+
+  std::vector<QueryOutcome> runTracer(const std::vector<ir::CheckId> &Queries) {
+    Timer Total;
+    EventTraceWriter Trace;
+    std::shared_ptr<support::CancelToken> CancelTok =
+        beginRun(Queries.size(), effectiveWorkers(), Trace);
 
     struct QueryRec {
       Cnf Viable;
@@ -479,33 +400,17 @@ private:
 
     unsigned Workers = effectiveWorkers();
     ensurePool(Workers);
-    // A token always exists so injected Cancel faults at gateless sites
-    // (cache.insert, driver.schedule) have something to act on even when
-    // the caller passed none.
-    std::shared_ptr<support::CancelToken> CancelTok =
-        Options.Cancel ? Options.Cancel
-                       : std::make_shared<support::CancelToken>();
-    meta::BackwardConfig BwdConfig;
-    BwdConfig.K = Options.K;
-    BwdConfig.ProductSoftCap = Options.ProductSoftCap;
-    BwdConfig.TimeoutSeconds = Options.BackwardTimeoutSeconds;
-    BwdConfig.StepBudget = Options.BackwardStepBudget;
-    BwdConfig.Cancel = CancelTok.get();
-    BwdConfig.Invariants = &Sink;
-    if (Options.BackwardStepObserver) {
-      if (Workers > 1) {
-        // The backward stage clones one BackwardMetaAnalysis per worker,
-        // so an unserialized shared observer would race with itself.
-        auto Mx = std::make_shared<std::mutex>();
-        auto Obs = Options.BackwardStepObserver;
-        BwdConfig.StepObserver = [Mx, Obs](size_t I, const ir::Command &Cmd,
-                                           const formula::Dnf &F) {
-          std::lock_guard<std::mutex> Lock(*Mx);
-          Obs(I, Cmd, F);
-        };
-      } else {
-        BwdConfig.StepObserver = Options.BackwardStepObserver;
-      }
+    meta::BackwardConfig BwdConfig = backwardConfig(CancelTok.get());
+    if (BwdConfig.StepObserver && Workers > 1) {
+      // The backward stage clones one BackwardMetaAnalysis per worker, so
+      // an unserialized shared observer would race with itself.
+      auto Mx = std::make_shared<std::mutex>();
+      BwdConfig.StepObserver = [Mx, Observer = BwdConfig.StepObserver](
+                                   size_t I, const ir::Command &Cmd,
+                                   const formula::Dnf &F) {
+        std::lock_guard<std::mutex> Lock(*Mx);
+        Observer(I, Cmd, F);
+      };
     }
     // One backward meta-analysis per worker: its scratch (stats, wp memo)
     // never crosses threads.
@@ -530,13 +435,11 @@ private:
       size_t MaxCubes = 0;
       double Seconds = 0;
     };
-    /// One extracted counterexample: the trace, its replayed forward
-    /// states, and the loop-segment compression plan derived from the
-    /// replay's interned state ids (meta/TraceSegments.h).
+    /// One extracted counterexample: the trace and its replayed forward
+    /// states.
     struct TraceData {
       ir::Trace T;
       std::vector<State> States;
-      meta::TraceSegments Segs;
     };
     struct MemberStep {
       size_t PlanIdx = 0;
@@ -554,13 +457,13 @@ private:
     // against deterministic resident-byte totals, so the ladder walks
     // identically at any worker count.
     unsigned LadderRung = 0;
-    unsigned EffTracesPerIter = std::max(1u, Options.TracesPerIteration);
+    unsigned EffTracesPerIter = std::max(1u, Exec.TracesPerIteration);
     // Why the whole run stopped early, applied to every query still open
     // when the round loop exits.
     std::optional<support::Exhausted> RunExhaustion;
 
     size_t Unresolved = Queries.size();
-    while (Unresolved > 0 && Total.seconds() < Options.TimeBudgetSeconds &&
+    while (Unresolved > 0 && Total.seconds() < Budgets.TimeBudgetSeconds &&
            !CancelTok->requested()) {
       ++Stats.Rounds;
       if (support::metricsEnabled()) {
@@ -578,8 +481,8 @@ private:
       // reclaims everything cacheable; the deeper rungs additionally shrink
       // future work. Every rung only under-approximates harder (§5's dropK
       // argument), so verdicts stay sound.
-      if (Options.MemoryBudgetBytes > 0 &&
-          cache().counters().ResidentBytes > Options.MemoryBudgetBytes) {
+      if (Budgets.MemoryBudgetBytes > 0 &&
+          cache().counters().ResidentBytes > Budgets.MemoryBudgetBytes) {
         uint64_t Resident = cache().counters().ResidentBytes;
         LadderRung = std::min(LadderRung + 1, 3u);
         // With a disk tier armed (service-owned caches), demotion to disk
@@ -590,7 +493,7 @@ private:
         const char *Action =
             cache().spillArmed() ? "spill_cache" : "evict_cache";
         if (LadderRung >= 2) {
-          unsigned NarrowK = std::max(1u, Options.K / 2);
+          unsigned NarrowK = std::max(1u, Exec.K / 2);
           for (auto &B : Bwds)
             B->setBeamWidth(NarrowK);
           Action = "shrink_beam";
@@ -611,7 +514,7 @@ private:
                           .field("action", Action)
                           .field("trigger", "memory")
                           .field("resident_bytes", Resident)
-                          .field("budget_bytes", Options.MemoryBudgetBytes)
+                          .field("budget_bytes", Budgets.MemoryBudgetBytes)
                           .field("evicted", Evicted));
       }
 
@@ -632,7 +535,7 @@ private:
       for (size_t I = 0; I < Queries.size(); ++I) {
         if (Recs[I].Done)
           continue;
-        uint64_t Key = Options.GroupQueries
+        uint64_t Key = Exec.GroupQueries
                            ? Recs[I].Viable.signature()
                            : static_cast<uint64_t>(I);
         Groups[Key].push_back(I);
@@ -679,7 +582,7 @@ private:
         std::optional<MinCostModel> Model;
         {
           support::BudgetGate SolverGate("mincostsat.decision",
-                                         Options.SolverDecisionBudget,
+                                         Budgets.SolverDecisionBudget,
                                          CancelTok.get(), 0, &Sink);
           try {
             Model = solveMinCost(Recs[Members[0]].Viable, A.numParamBits(),
@@ -699,7 +602,7 @@ private:
           Key.Family = CacheFamilyScope;
           // Without grouping, each query keeps its own runs (the §6
           // baseline); the salt separates them in the shared cache.
-          Key.Salt = Options.GroupQueries
+          Key.Salt = Exec.GroupQueries
                          ? 0
                          : static_cast<uint32_t>(Members[0]) + 1;
           // Freshness floor for this group: a cached run computed before
@@ -769,9 +672,9 @@ private:
           // Per-task gate: this task alone counts its visits, so the cut
           // point is schedule-independent. A worker's bad_alloc is contained
           // here — it costs this abstraction's queries, not the process.
-          support::BudgetGate Gate("forward.visit", Options.ForwardStepBudget,
+          support::BudgetGate Gate("forward.visit", Budgets.ForwardStepBudget,
                                    CancelTok.get(), 0, &Sink);
-          auto Run = std::make_unique<Forward>(P, A, *Slot.Abs, liveness());
+          auto Run = std::make_unique<Forward>(P, A, *Slot.Abs, &Liveness);
           Run->run(Init, &Gate);
           if (Run->exhausted())
             Slot.Exhaustion = *Run->exhaustion();
@@ -879,7 +782,7 @@ private:
             OutOfTime = true;
             break;
           }
-          if (Total.seconds() >= Options.TimeBudgetSeconds) {
+          if (Total.seconds() >= Budgets.TimeBudgetSeconds) {
             OutOfTime = true;
             break;
           }
@@ -937,9 +840,9 @@ private:
           }
           if (Step.FailIds.empty()) {
             Step.Kind = StepKind::Proven;
-          } else if (Out.Iterations + 1 >= Options.MaxItersPerQuery) {
+          } else if (Out.Iterations + 1 >= Exec.MaxItersPerQuery) {
             Step.Kind = StepKind::IterBudget;
-          } else if (Options.Strategy == SearchStrategy::EliminateCurrent) {
+          } else if (Strategy == SearchStrategy::EliminateCurrent) {
             Step.Kind = StepKind::Eliminate;
           } else {
             Step.Kind = StepKind::Traces;
@@ -998,16 +901,7 @@ private:
             } else {
               for (ir::Trace &T : Traces) {
                 TraceData Data;
-                std::vector<dataflow::StateId> Ids;
-                Data.States = Slot.Run->replay(T, Init, &Ids);
-                if (Options.CompressTraces)
-                  Data.Segs = meta::detectSegments(T, Ids);
-                if (support::metricsEnabled() && !Data.Segs.empty()) {
-                  static auto &Detected =
-                      support::MetricRegistry::global().counter(
-                          "optabs_trace_segments_detected_total");
-                  Detected.add(Data.Segs.Repeats.size());
-                }
+                Data.States = Slot.Run->replay(T, Init);
                 Data.T = std::move(T);
                 Step.Traces.push_back(std::move(Data));
               }
@@ -1046,8 +940,7 @@ private:
         try {
           const TraceData &Data = Step.Traces[J];
           std::optional<formula::Dnf> F =
-              Bwd.run(Data.T, *Slot.Abs, Data.States, Recs[Step.Query].NotQ,
-                      Data.Segs.empty() ? nullptr : &Data.Segs);
+              Bwd.run(Data.T, *Slot.Abs, Data.States, Recs[Step.Query].NotQ);
           R.MaxCubes = Bwd.stats().MaxCubes;
           if (F)
             R.Unviable = Bwd.projectToParams(*F, *Slot.Abs, Init);
@@ -1285,37 +1178,10 @@ private:
   /// classic refinement-based analyses.
   std::vector<QueryOutcome> runGreedy(const std::vector<ir::CheckId> &Queries) {
     Timer Total;
-    Stats = DriverStats();
-    Sink.clear();
-    LastViable.clear();
-    if (!BorrowedCache) {
-      // A borrowed (service-shared) cache keeps its capacity and counters
-      // across runs; the stats below report this run's deltas.
-      OwnedCache.setCapacity(Options.ForwardCacheCapacity);
-      OwnedCache.resetCounters();
-    }
-    BaseCounters = cache().counters();
     EventTraceWriter Trace;
-    if (!Options.EventTracePath.empty())
-      Trace.open(Options.EventTracePath, Options.EventTraceLabel);
-    if (Trace.enabled())
-      Trace.write(Trace.event("run_begin")
-                      .field("queries", Queries.size())
-                      .field("strategy", strategyName(Options.Strategy))
-                      .field("k", Options.K)
-                      .field("threads", 1u));
     std::shared_ptr<support::CancelToken> CancelTok =
-        Options.Cancel ? Options.Cancel
-                       : std::make_shared<support::CancelToken>();
-    meta::BackwardConfig BwdConfig;
-    BwdConfig.K = Options.K;
-    BwdConfig.ProductSoftCap = Options.ProductSoftCap;
-    BwdConfig.TimeoutSeconds = Options.BackwardTimeoutSeconds;
-    BwdConfig.StepBudget = Options.BackwardStepBudget;
-    BwdConfig.Cancel = CancelTok.get();
-    BwdConfig.Invariants = &Sink;
-    BwdConfig.StepObserver = Options.BackwardStepObserver; // single thread
-    Backward Bwd(P, A, BwdConfig);
+        beginRun(Queries.size(), 1, Trace);
+    Backward Bwd(P, A, backwardConfig(CancelTok.get())); // single thread
     State Init = A.initialState();
 
     // Forward runs memoized across queries, iterations, and run() calls.
@@ -1330,10 +1196,10 @@ private:
       Key.Family = CacheFamilyScope;
       if (Forward *Hit = cache().lookup(Key, CurMinData))
         return Hit;
-      support::BudgetGate Gate("forward.visit", Options.ForwardStepBudget,
+      support::BudgetGate Gate("forward.visit", Budgets.ForwardStepBudget,
                                CancelTok.get(), 0, &Sink);
       auto Run = std::make_unique<Forward>(P, A, A.paramFromBits(Bits),
-                                           liveness());
+                                           &Liveness);
       Run->run(Init, &Gate);
       ++Stats.ForwardRuns;
       if (Run->exhausted()) {
@@ -1356,7 +1222,7 @@ private:
 
       try {
       while (true) {
-        if (Total.seconds() >= Options.TimeBudgetSeconds) {
+        if (Total.seconds() >= Budgets.TimeBudgetSeconds) {
           noteExhausted(Out,
                         support::Exhausted{support::Resource::WallClock,
                                            "driver.run"},
@@ -1370,7 +1236,7 @@ private:
                         Trace);
           break;
         }
-        if (Out.Iterations >= Options.MaxItersPerQuery) {
+        if (Out.Iterations >= Exec.MaxItersPerQuery) {
           noteExhausted(Out,
                         support::Exhausted{support::Resource::Steps,
                                            "driver.iterations"},
@@ -1533,9 +1399,9 @@ private:
   unsigned effectiveWorkers() const {
     if (BorrowedPool)
       return BorrowedPool->numWorkers();
-    unsigned N = Options.NumThreads == 0
+    unsigned N = Exec.NumThreads == 0
                      ? support::ThreadPool::hardwareWorkers()
-                     : Options.NumThreads;
+                     : Exec.NumThreads;
     return N < 1 ? 1 : N;
   }
 
@@ -1568,27 +1434,30 @@ private:
   }
 
   /// Writes the Prometheus dump and/or the Chrome trace when the
-  /// corresponding TracerOptions paths are set. Both exports are
+  /// corresponding Observability paths are set. Both exports are
   /// cumulative process-wide snapshots, rewritten at the end of every
   /// run(); failures to open the files are silently ignored (observability
   /// must never fail the analysis).
   void exportMetrics() const {
-    if (!Options.MetricsPath.empty())
+    if (!Obs.MetricsPath.empty())
       support::MetricRegistry::global().writePrometheusFile(
-          Options.MetricsPath);
-    if (!Options.ProfilePath.empty())
-      support::Profiler::global().writeChromeTraceFile(Options.ProfilePath);
-  }
-
-  /// The shared dead-variable pruning tables; null when pruning is off.
-  const ir::CommandLiveness *liveness() const {
-    return Liveness ? &*Liveness : nullptr;
+          Obs.MetricsPath);
+    if (!Obs.ProfilePath.empty())
+      support::Profiler::global().writeChromeTraceFile(Obs.ProfilePath);
   }
 
   const ir::Program &P;
   const Analysis &A;
   TracerOptions Options;
-  std::optional<ir::CommandLiveness> Liveness;
+  const Config::ExecutionConfig &Exec = Options.Cfg.Execution;
+  const Config::BudgetConfig &Budgets = Options.Cfg.Budgets;
+  const Config::ObservabilityConfig &Obs = Options.Cfg.Observability;
+  /// Exec.Strategy, parsed once at construction.
+  SearchStrategy Strategy = SearchStrategy::Tracer;
+  /// Live-variable sets are a property of the program alone: computed once
+  /// at construction, shared by every forward run this driver builds to
+  /// forget dead variables before interning states (exact; see DESIGN.md).
+  ir::CommandLiveness Liveness;
   DriverStats Stats;
   double TotalSeconds = 0;
   ForwardRunCache<Forward> OwnedCache;

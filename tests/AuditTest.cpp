@@ -266,7 +266,7 @@ struct DriverRun {
 
   static tracer::TracerOptions defaultOptions() {
     tracer::TracerOptions Options;
-    Options.MaxItersPerQuery = 32;
+    Options.Cfg.Execution.MaxItersPerQuery = 32;
     return Options;
   }
 };
@@ -503,8 +503,8 @@ TEST(EventTrace, JsonlParsesAndCarriesTheDocumentedEvents) {
   { std::ofstream Truncate(Path, std::ios::trunc); }
 
   tracer::TracerOptions Options = DriverRun::defaultOptions();
-  Options.EventTracePath = Path;
-  Options.EventTraceLabel = "audit-test";
+  Options.Cfg.Observability.EventTracePath = Path;
+  Options.Cfg.Observability.EventTraceLabel = "audit-test";
   DriverRun R(Options);
 
   std::ifstream In(Path);

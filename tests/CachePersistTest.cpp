@@ -335,7 +335,7 @@ TEST(CachePersistTest, WarmRestartIsBitwiseIdenticalWithZeroForwardRuns) {
     parseInto(EscapeProgram, P);
     escape::EscapeAnalysis A(P);
     tracer::TracerOptions Opts;
-    Opts.NumThreads = Threads;
+    Opts.Cfg.Execution.NumThreads = Threads;
     tracer::QueryDriver<escape::EscapeAnalysis> Driver(P, A, Opts);
     std::vector<tracer::QueryOutcome> Want =
         Driver.run({CheckId(0), CheckId(1), CheckId(2)});
@@ -565,7 +565,7 @@ TEST(CachePersistTest, MemoryPressureSpillsInsteadOfEvicting) {
   parseInto(EscapeProgram, P);
   escape::EscapeAnalysis A(P);
   tracer::TracerOptions Opts;
-  Opts.MemoryBudgetBytes = 1;
+  Opts.Cfg.Budgets.MemoryBudgetBytes = 1;
   tracer::QueryDriver<escape::EscapeAnalysis> Driver(P, A, Opts);
   std::vector<tracer::QueryOutcome> Want =
       Driver.run({CheckId(0), CheckId(1), CheckId(2)});

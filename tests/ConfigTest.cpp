@@ -2,7 +2,7 @@
 //
 // optabs::Config is the single public configuration surface: defaults,
 // environment resolution (OPTABS_*), structured validation, and the
-// conversion into the deprecated TracerOptions alias. The precedence chain
+// driver options built from it (TracerOptions). The precedence chain
 // is explicit > environment > defaults; validate() must reject every
 // documented invalid configuration with a stable field path so callers
 // (CLI, serve tool, service sessions) can report errors uniformly.
@@ -11,6 +11,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "escape/Escape.h"
+#include "ir/Parser.h"
 #include "support/Args.h"
 #include "support/Config.h"
 #include "tracer/QueryDriver.h"
@@ -18,7 +20,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 #include <string>
+#include <tuple>
 #include <vector>
 
 using namespace optabs;
@@ -137,6 +141,25 @@ TEST(ConfigTest, ValidateRejectsDocumentedInvalidConfigs) {
     EXPECT_NE(messageFor(C.validate(), "service.persist_on_shutdown"), "");
   }
   {
+    // NaN compares false with everything, so "<= 0" checks let it through.
+    const double NaN = std::numeric_limits<double>::quiet_NaN();
+    Config C = Config::defaults();
+    C.Budgets.TimeBudgetSeconds = NaN;
+    C.Budgets.BackwardTimeoutSeconds = NaN;
+    C.Observability.SlowQuerySeconds = NaN;
+    std::vector<ConfigError> Errors = C.validate();
+    EXPECT_NE(messageFor(Errors, "budgets.time_budget_seconds"), "");
+    EXPECT_NE(messageFor(Errors, "budgets.backward_timeout_seconds"), "");
+    EXPECT_NE(messageFor(Errors, "observability.slow_query_seconds"), "");
+  }
+  {
+    // OPTABS_TIME_BUDGET_SECONDS=nan parses as a double; validate() must
+    // still refuse it.
+    ScopedEnv Budget("OPTABS_TIME_BUDGET_SECONDS", "nan");
+    Config C = Config::fromEnv(nullptr);
+    EXPECT_NE(messageFor(C.validate(), "budgets.time_budget_seconds"), "");
+  }
+  {
     // Both are fine once a cache directory is configured.
     Config C = Config::defaults();
     C.Service.CacheDir = "/tmp/optabs-cache";
@@ -191,6 +214,35 @@ TEST(ConfigTest, MalformedEnvironmentReportsAndKeepsDefault) {
   EXPECT_EQ(C.Budgets.ForwardStepBudget, Defaults.Budgets.ForwardStepBudget);
 }
 
+TEST(ConfigTest, OutOfRangeEnvironmentReportsAndKeepsDefault) {
+  // Each value parses as a uint64_t but does not fit its field: 2^32 + 1
+  // threads would wrap to 1, and 2^44 MiB overflows 64-bit bytes.
+  Config Defaults = Config::defaults();
+  ScopedEnv Threads("OPTABS_THREADS", "4294967297");
+  ScopedEnv K("OPTABS_K", "4294967296");
+  ScopedEnv Memory("OPTABS_MEMORY_BUDGET_MB", "17592186044416");
+  std::vector<ConfigError> Errors;
+  Config C = Config::fromEnv(&Errors);
+  EXPECT_NE(messageFor(Errors, "execution.num_threads").find("malformed"),
+            std::string::npos);
+  EXPECT_NE(messageFor(Errors, "execution.k").find("malformed"),
+            std::string::npos);
+  EXPECT_NE(messageFor(Errors, "budgets.memory_budget_bytes").find("malformed"),
+            std::string::npos);
+  EXPECT_EQ(C.Execution.NumThreads, Defaults.Execution.NumThreads);
+  EXPECT_EQ(C.Execution.K, Defaults.Execution.K);
+  EXPECT_EQ(C.Budgets.MemoryBudgetBytes, Defaults.Budgets.MemoryBudgetBytes);
+
+  // The largest value that fits is still accepted.
+  ScopedEnv MaxMemory("OPTABS_MEMORY_BUDGET_MB", "17592186044415");
+  ScopedEnv MaxK("OPTABS_K", "4294967295");
+  Errors.clear();
+  C = Config::fromEnv(&Errors);
+  EXPECT_EQ(messageFor(Errors, "budgets.memory_budget_bytes"), "");
+  EXPECT_EQ(C.Budgets.MemoryBudgetBytes, 17592186044415ull * 1024 * 1024);
+  EXPECT_EQ(C.Execution.K, 4294967295u);
+}
+
 TEST(ConfigTest, StepBudgetEnvArmsAllThreeBudgets) {
   ScopedEnv Budget("OPTABS_STEP_BUDGET", "12345");
   Config C = Config::fromEnv(nullptr);
@@ -199,36 +251,56 @@ TEST(ConfigTest, StepBudgetEnvArmsAllThreeBudgets) {
   EXPECT_EQ(C.Budgets.SolverDecisionBudget, 12345u);
 }
 
-TEST(ConfigTest, TracerOptionsFromConfigMapsEveryField) {
+TEST(ConfigTest, TracerOptionsFromConfigCarriesConfig) {
   Config C = Config::defaults();
   C.Execution.K = 7;
   C.Execution.MaxItersPerQuery = 41;
   C.Execution.GroupQueries = false;
-  C.Execution.ProductSoftCap = 99;
-  C.Execution.TracesPerIteration = 11;
   C.Execution.Strategy = "greedy-grow";
-  C.Execution.NumThreads = 6;
-  C.Execution.ForwardCacheCapacity = 123;
   C.Budgets.TimeBudgetSeconds = 77;
-  C.Budgets.ForwardStepBudget = 1000;
   C.Budgets.BackwardStepBudget = 2000;
-  C.Budgets.SolverDecisionBudget = 3000;
-  C.Budgets.MemoryBudgetBytes = 0;
-  ASSERT_TRUE(C.validate().empty()) << formatConfigErrors(C.validate());
+  C.Observability.EventTraceLabel = "label";
 
   tracer::TracerOptions O = tracer::TracerOptions::fromConfig(C);
-  EXPECT_EQ(O.K, 7u);
-  EXPECT_EQ(O.MaxItersPerQuery, 41u);
-  EXPECT_FALSE(O.GroupQueries);
-  EXPECT_EQ(O.ProductSoftCap, 99u);
-  EXPECT_EQ(O.TracesPerIteration, 11u);
-  EXPECT_EQ(O.Strategy, tracer::SearchStrategy::GreedyGrow);
-  EXPECT_EQ(O.NumThreads, 6u);
-  EXPECT_EQ(O.ForwardCacheCapacity, 123u);
-  EXPECT_EQ(O.TimeBudgetSeconds, 77.0);
-  EXPECT_EQ(O.ForwardStepBudget, 1000u);
-  EXPECT_EQ(O.BackwardStepBudget, 2000u);
-  EXPECT_EQ(O.SolverDecisionBudget, 3000u);
+  EXPECT_EQ(O.Cfg.Execution.K, 7u);
+  EXPECT_EQ(O.Cfg.Execution.MaxItersPerQuery, 41u);
+  EXPECT_FALSE(O.Cfg.Execution.GroupQueries);
+  EXPECT_EQ(O.Cfg.Execution.Strategy, "greedy-grow");
+  EXPECT_EQ(O.Cfg.Budgets.TimeBudgetSeconds, 77.0);
+  EXPECT_EQ(O.Cfg.Budgets.BackwardStepBudget, 2000u);
+  EXPECT_EQ(O.Cfg.Observability.EventTraceLabel, "label");
+  EXPECT_FALSE(O.Cancel);
+  EXPECT_FALSE(O.BackwardStepObserver);
+}
+
+TEST(ConfigTest, UnknownStrategyDrivesTracerSearch) {
+  // Two programs that tell the three strategies apart: a proof that
+  // eliminate-current needs more iterations for, and an impossible query
+  // that greedy-grow cannot conclude.
+  bool DiffersFromGreedy = false, DiffersFromEliminate = false;
+  for (const char *Src :
+       {"proc main { u = new h1; v = new h2; w = new h3; v.f = u; "
+        "check(u); }",
+        "global g; proc main { u = new h1; g = u; check(u); }"}) {
+    ir::Program P;
+    std::string Error;
+    ASSERT_TRUE(ir::parseProgram(Src, P, Error)) << Error;
+    escape::EscapeAnalysis A(P);
+    auto Run = [&](const char *Strategy) {
+      tracer::TracerOptions O;
+      O.Cfg.Execution.Strategy = Strategy;
+      tracer::QueryDriver<escape::EscapeAnalysis> D(P, A, O);
+      std::vector<tracer::QueryOutcome> Out = D.run({ir::CheckId(0)});
+      return std::make_tuple(Out[0].V, Out[0].Iterations, Out[0].CheapestBits,
+                             D.stats().Rounds, D.stats().BackwardRuns);
+    };
+    auto Unknown = Run("definitely-not-a-strategy");
+    EXPECT_EQ(Unknown, Run("tracer")) << Src;
+    DiffersFromGreedy |= Unknown != Run("greedy-grow");
+    DiffersFromEliminate |= Unknown != Run("eliminate-current");
+  }
+  EXPECT_TRUE(DiffersFromGreedy);
+  EXPECT_TRUE(DiffersFromEliminate);
 }
 
 TEST(ConfigTest, StrategyNamesRoundTrip) {
@@ -295,6 +367,25 @@ TEST(ArgsTest, RejectsMalformedValues) {
   EXPECT_NE(Err.find("invalid value 'banana' for '--k'"), std::string::npos)
       << Err;
   EXPECT_EQ(K, 7u); // the target is untouched on failure
+}
+
+TEST(ArgsTest, RejectsValuesTooWideForTheField) {
+  unsigned Threads = 7;
+  uint64_t Budget = 0;
+  support::ArgParser Parser;
+  Parser.option("--threads", &Threads, "").option("--budget", &Budget, "");
+  // Unchecked, 2^32 + 1 would wrap to one thread.
+  std::string Err = parseArgs(Parser, {"--threads=4294967297"});
+  EXPECT_NE(Err.find("invalid value '4294967297' for '--threads'"),
+            std::string::npos)
+      << Err;
+  EXPECT_EQ(Threads, 7u);
+  EXPECT_EQ(parseArgs(Parser, {"--threads=4294967295"}), "");
+  EXPECT_EQ(Threads, 4294967295u);
+  // Past 2^64 - 1 even a 64-bit field cannot hold the value.
+  EXPECT_NE(parseArgs(Parser, {"--budget=18446744073709551616"}), "");
+  EXPECT_EQ(parseArgs(Parser, {"--budget=18446744073709551615"}), "");
+  EXPECT_EQ(Budget, UINT64_MAX);
 }
 
 TEST(ArgsTest, RejectsMissingAndUnexpectedValues) {

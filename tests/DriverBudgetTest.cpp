@@ -36,7 +36,7 @@ TEST(DriverBudget, ZeroTimeBudgetLeavesEverythingUnresolved) {
   Program P = parse(TwoSiteSrc);
   escape::EscapeAnalysis A(P);
   TracerOptions Options;
-  Options.TimeBudgetSeconds = 0;
+  Options.Cfg.Budgets.TimeBudgetSeconds = 0;
   QueryDriver<escape::EscapeAnalysis> Driver(P, A, Options);
   auto Outcomes = Driver.run({CheckId(0)});
   EXPECT_EQ(Outcomes[0].V, Verdict::Unresolved);
@@ -48,7 +48,7 @@ TEST(DriverBudget, OneIterationBudgetStopsAfterFirstRun) {
   Program P = parse(TwoSiteSrc);
   escape::EscapeAnalysis A(P);
   TracerOptions Options;
-  Options.MaxItersPerQuery = 1;
+  Options.Cfg.Execution.MaxItersPerQuery = 1;
   QueryDriver<escape::EscapeAnalysis> Driver(P, A, Options);
   auto Outcomes = Driver.run({CheckId(0)});
   EXPECT_EQ(Outcomes[0].V, Verdict::Unresolved);
@@ -61,7 +61,7 @@ TEST(DriverBudget, TracesPerIterationZeroBehavesLikeOne) {
   Program P = parse(TwoSiteSrc);
   escape::EscapeAnalysis A(P);
   TracerOptions Options;
-  Options.TracesPerIteration = 0;
+  Options.Cfg.Execution.TracesPerIteration = 0;
   QueryDriver<escape::EscapeAnalysis> Driver(P, A, Options);
   auto Outcomes = Driver.run({CheckId(0)});
   EXPECT_EQ(Outcomes[0].V, Verdict::Proven);
@@ -105,9 +105,9 @@ TEST(DriverBudget, GreedyRespectsIterationBudget) {
   )");
   escape::EscapeAnalysis A(P);
   TracerOptions Options;
-  Options.Strategy = tracer::SearchStrategy::GreedyGrow;
-  Options.K = 1; // one blamed site per iteration
-  Options.MaxItersPerQuery = 2;
+  Options.Cfg.Execution.Strategy = "greedy-grow";
+  Options.Cfg.Execution.K = 1; // one blamed site per iteration
+  Options.Cfg.Execution.MaxItersPerQuery = 2;
   QueryDriver<escape::EscapeAnalysis> Driver(P, A, Options);
   auto Outcomes = Driver.run({CheckId(0)});
   EXPECT_EQ(Outcomes[0].V, Verdict::Unresolved);
@@ -118,7 +118,7 @@ TEST(DriverBudget, MaxFormulaCubesIsTracked) {
   Program P = parse(TwoSiteSrc);
   escape::EscapeAnalysis A(P);
   TracerOptions Options;
-  Options.K = 0; // exact mode keeps several cubes
+  Options.Cfg.Execution.K = 0; // exact mode keeps several cubes
   QueryDriver<escape::EscapeAnalysis> Driver(P, A, Options);
   Driver.run({CheckId(0)});
   EXPECT_GE(Driver.stats().MaxFormulaCubes, 2u);

@@ -260,7 +260,8 @@ TEST(DriverGovernor, ForwardStepBudgetMapsToUnresolved) {
   Program P = parse(TwoSiteSrc);
   escape::EscapeAnalysis A(P);
   TracerOptions Options;
-  Options.ForwardStepBudget = 1; // no fixpoint finishes in one visit
+  // no fixpoint finishes in one visit
+  Options.Cfg.Budgets.ForwardStepBudget = 1;
   QueryDriver<escape::EscapeAnalysis> Driver(P, A, Options);
   auto Outcomes = Driver.run({CheckId(0)});
   EXPECT_EQ(Outcomes[0].V, Verdict::Unresolved);
@@ -276,7 +277,8 @@ TEST(DriverGovernor, BackwardStepBudgetMapsToUnresolved) {
   Program P = parse(TwoSiteSrc);
   escape::EscapeAnalysis A(P);
   TracerOptions Options;
-  Options.BackwardStepBudget = 1; // the meta-analysis dies on its 2nd step
+  // the meta-analysis dies on its 2nd step
+  Options.Cfg.Budgets.BackwardStepBudget = 1;
   QueryDriver<escape::EscapeAnalysis> Driver(P, A, Options);
   auto Outcomes = Driver.run({CheckId(0)});
   EXPECT_EQ(Outcomes[0].V, Verdict::Unresolved);
@@ -292,9 +294,9 @@ TEST(DriverGovernor, GenerousStepBudgetsChangeNothing) {
   auto Baseline = Free.run({CheckId(0)});
 
   TracerOptions Options;
-  Options.ForwardStepBudget = 1u << 30;
-  Options.BackwardStepBudget = 1u << 30;
-  Options.SolverDecisionBudget = 1u << 30;
+  Options.Cfg.Budgets.ForwardStepBudget = 1u << 30;
+  Options.Cfg.Budgets.BackwardStepBudget = 1u << 30;
+  Options.Cfg.Budgets.SolverDecisionBudget = 1u << 30;
   QueryDriver<escape::EscapeAnalysis> Gated(P, A, Options);
   auto Outcomes = Gated.run({CheckId(0)});
   EXPECT_EQ(Outcomes[0].V, Baseline[0].V);
@@ -323,8 +325,8 @@ TEST(DriverGovernor, GreedyForwardBudgetMapsToUnresolved) {
   Program P = parse(TwoSiteSrc);
   escape::EscapeAnalysis A(P);
   TracerOptions Options;
-  Options.Strategy = tracer::SearchStrategy::GreedyGrow;
-  Options.ForwardStepBudget = 1;
+  Options.Cfg.Execution.Strategy = "greedy-grow";
+  Options.Cfg.Budgets.ForwardStepBudget = 1;
   QueryDriver<escape::EscapeAnalysis> Driver(P, A, Options);
   auto Outcomes = Driver.run({CheckId(0)});
   EXPECT_EQ(Outcomes[0].V, Verdict::Unresolved);
@@ -487,7 +489,7 @@ TEST(ThreadPoolGovernor, DriverSurfacesWorkerExceptionsAsViolations) {
   Program P = parse(TwoSiteSrc);
   escape::EscapeAnalysis A(P);
   TracerOptions Options;
-  Options.NumThreads = 4;
+  Options.Cfg.Execution.NumThreads = 4;
   QueryDriver<escape::EscapeAnalysis> Driver(P, A, Options);
   auto Outcomes = Driver.run({CheckId(0)});
   // The injected invariant breakage is recorded and the affected fixpoint

@@ -83,7 +83,7 @@ TEST_P(SuiteTest, DriverVerdictsAreDeterministic) {
   synth::Benchmark B = synth::generate(config());
   escape::EscapeAnalysis A(B.P);
   tracer::TracerOptions Options;
-  Options.MaxItersPerQuery = 24;
+  Options.Cfg.Execution.MaxItersPerQuery = 24;
   auto RunOnce = [&] {
     tracer::QueryDriver<escape::EscapeAnalysis> Driver(B.P, A, Options);
     std::vector<std::pair<Verdict, std::string>> Summary;
@@ -126,7 +126,7 @@ TEST(Integration, ProvenAbstractionsActuallyProve) {
   synth::Benchmark B = synth::generate(synth::paperSuite()[0]);
   escape::EscapeAnalysis A(B.P);
   tracer::TracerOptions Options;
-  Options.MaxItersPerQuery = 24;
+  Options.Cfg.Execution.MaxItersPerQuery = 24;
   tracer::QueryDriver<escape::EscapeAnalysis> Driver(B.P, A, Options);
   auto Outcomes = Driver.run(B.EscChecks);
   for (const auto &O : Outcomes) {

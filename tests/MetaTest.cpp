@@ -188,9 +188,9 @@ uint64_t stepFormulaDigest() {
   std::remove(TracePath.c_str());
   uint64_t H = 0;
   tracer::TracerOptions Opts;
-  Opts.NumThreads = 1;
-  Opts.MaxItersPerQuery = 16;
-  Opts.EventTracePath = TracePath;
+  Opts.Cfg.Execution.NumThreads = 1;
+  Opts.Cfg.Execution.MaxItersPerQuery = 16;
+  Opts.Cfg.Observability.EventTracePath = TracePath;
   Opts.BackwardStepObserver = [&H](size_t I, const Command &,
                                    const formula::Dnf &F) {
     H = fold(H, I);

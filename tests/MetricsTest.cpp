@@ -523,9 +523,9 @@ TEST_F(MetricsTest, DriverRunExportsMetricsAndTrace) {
 
   escape::EscapeAnalysis A(P);
   tracer::TracerOptions Options;
-  Options.MetricsPath = MetricsPath;
-  Options.ProfilePath = TracePath;
-  Options.NumThreads = 2;
+  Options.Cfg.Observability.MetricsPath = MetricsPath;
+  Options.Cfg.Observability.ProfilePath = TracePath;
+  Options.Cfg.Execution.NumThreads = 2;
   tracer::QueryDriver<escape::EscapeAnalysis> Driver(P, A, Options);
   auto Outcomes = Driver.run({ir::CheckId(0)});
   ASSERT_EQ(Outcomes.size(), 1u);

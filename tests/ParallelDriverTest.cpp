@@ -141,7 +141,7 @@ TEST(ParallelDriver, RevisitedAbstractionHitsTheCache) {
   synth::Benchmark B = synth::generate(synth::paperSuite()[0]);
   escape::EscapeAnalysis A(B.P);
   tracer::TracerOptions Options;
-  Options.MaxItersPerQuery = 32;
+  Options.Cfg.Execution.MaxItersPerQuery = 32;
   tracer::QueryDriver<escape::EscapeAnalysis> Driver(B.P, A, Options);
 
   std::vector<QueryOutcome> First = Driver.run(B.EscChecks);

@@ -235,6 +235,47 @@ TEST(JsonLineTest, AccessorsRejectTypeMismatches) {
   EXPECT_EQ(L.getUInt("n"), 5u);
 }
 
+TEST(JsonLineTest, IntegerAccessorsRejectOverflow) {
+  service::JsonLine L = parseOk(
+      R"({"u64max":18446744073709551615,"u64over":18446744073709551616,)"
+      R"("u64wrap":36893488147419103232,"u32max":4294967295,)"
+      R"("u32over":4294967296,"i64min":-9223372036854775808,)"
+      R"("i64max":9223372036854775807,"i64under":-9223372036854775809,)"
+      R"("i64over":9223372036854775808})");
+  EXPECT_EQ(L.getUInt("u64max"), UINT64_MAX);
+  EXPECT_EQ(L.getUInt("u64over"), std::nullopt);
+  EXPECT_EQ(L.getUInt("u64wrap"), std::nullopt); // 2^65 wraps to 0
+  EXPECT_EQ(L.getUInt32("u32max"), UINT32_MAX);
+  EXPECT_EQ(L.getUInt32("u32over"), std::nullopt);
+  EXPECT_EQ(L.getUInt32("u64over"), std::nullopt);
+  EXPECT_EQ(L.getUInt32("missing"), std::nullopt);
+  EXPECT_EQ(L.getInt("i64min"), INT64_MIN);
+  EXPECT_EQ(L.getInt("i64max"), INT64_MAX);
+  EXPECT_EQ(L.getInt("i64under"), std::nullopt);
+  EXPECT_EQ(L.getInt("i64over"), std::nullopt);
+  EXPECT_EQ(L.getInt("u64over"), std::nullopt);
+}
+
+TEST(JsonLineTest, SubmitRejectsFieldsTheJobCannotHold) {
+  // Narrowed unchecked, check 2^32 would be answered as check 0.
+  auto Why = [](const char *Line) {
+    return service::submitRangeError(parseOk(Line));
+  };
+  EXPECT_EQ(Why(R"({"op":"submit","session":1,"check":4294967295,)"
+                R"("site":4294967295,"priority":-2147483648})"),
+            "");
+  EXPECT_EQ(Why(R"({"op":"submit","session":1,"check":4294967296})"),
+            "field 'check' must be an unsigned integer no larger than "
+            "4294967295");
+  EXPECT_NE(Why(R"({"op":"submit","session":1,"check":-1})"), "");
+  EXPECT_NE(Why(R"({"op":"submit","session":1,"check":0,)"
+                R"("site":4294967296})"),
+            "");
+  EXPECT_NE(Why(R"({"op":"submit","session":1,"check":0,)"
+                R"("priority":2147483648})"),
+            "");
+}
+
 TEST(JsonLineTest, RejectsEverythingThatIsNotAFlatObject) {
   EXPECT_EQ(parseErr("this is not json"), "expected a JSON object");
   EXPECT_EQ(parseErr("[1,2]"), "expected a JSON object");
@@ -436,8 +477,8 @@ TEST(EventTraceTest, EveryEmittedLineCarriesTheSchemaVersion) {
   std::ofstream(Path, std::ios::trunc).close();
   escape::EscapeAnalysis A(P);
   tracer::TracerOptions Opts;
-  Opts.EventTracePath = Path;
-  Opts.EventTraceLabel = "smoke";
+  Opts.Cfg.Observability.EventTracePath = Path;
+  Opts.Cfg.Observability.EventTraceLabel = "smoke";
   tracer::QueryDriver<escape::EscapeAnalysis> Driver(P, A, Opts);
   Driver.run({ir::CheckId(0)});
 

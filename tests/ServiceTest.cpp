@@ -99,7 +99,7 @@ TEST(ServiceTest, EscapeVerdictsMatchStandaloneAtEveryWorkerCount) {
   for (unsigned Threads : {1u, 8u}) {
     escape::EscapeAnalysis A(P);
     tracer::TracerOptions Opts;
-    Opts.NumThreads = Threads;
+    Opts.Cfg.Execution.NumThreads = Threads;
     tracer::QueryDriver<escape::EscapeAnalysis> Driver(P, A, Opts);
     std::vector<tracer::QueryOutcome> Want = Driver.run(Queries);
 
@@ -143,7 +143,7 @@ TEST(ServiceTest, TypestateVerdictsMatchStandaloneAtEveryWorkerCount) {
         continue;
       typestate::TypestateAnalysis A(P, Spec, AllocId(H), Pt);
       tracer::TracerOptions Opts;
-      Opts.NumThreads = Threads;
+      Opts.Cfg.Execution.NumThreads = Threads;
       tracer::QueryDriver<typestate::TypestateAnalysis> Driver(P, A, Opts);
       for (const tracer::QueryOutcome &O : Driver.run(Queries))
         Want.push_back(O);

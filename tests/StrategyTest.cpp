@@ -53,8 +53,9 @@ TEST(Strategy, EliminateCurrentIsEventuallyOptimal) {
   Program P = parse(ChainSrc);
   escape::EscapeAnalysis A(P);
   TracerOptions Options;
-  Options.Strategy = SearchStrategy::EliminateCurrent;
-  Options.MaxItersPerQuery = 200; // 2^3 family: feasible to exhaust
+  Options.Cfg.Execution.Strategy = "eliminate-current";
+  // 2^3 family: feasible to exhaust
+  Options.Cfg.Execution.MaxItersPerQuery = 200;
   QueryDriver<escape::EscapeAnalysis> Driver(P, A, Options);
   auto Outcomes = Driver.run({CheckId(0)});
   EXPECT_EQ(Outcomes[0].V, Verdict::Proven);
@@ -67,8 +68,8 @@ TEST(Strategy, EliminateCurrentProvesImpossibilityByExhaustion) {
   Program P = parse(EscapedSrc);
   escape::EscapeAnalysis A(P);
   TracerOptions Options;
-  Options.Strategy = SearchStrategy::EliminateCurrent;
-  Options.MaxItersPerQuery = 10; // 2^1 family
+  Options.Cfg.Execution.Strategy = "eliminate-current";
+  Options.Cfg.Execution.MaxItersPerQuery = 10; // 2^1 family
   QueryDriver<escape::EscapeAnalysis> Driver(P, A, Options);
   auto Outcomes = Driver.run({CheckId(0)});
   EXPECT_EQ(Outcomes[0].V, Verdict::Impossible);
@@ -79,8 +80,9 @@ TEST(Strategy, EliminateCurrentExhaustsBudgetOnLargerFamilies) {
   Program P = parse(ConfuserSrc);
   escape::EscapeAnalysis A(P);
   TracerOptions Options;
-  Options.Strategy = SearchStrategy::EliminateCurrent;
-  Options.MaxItersPerQuery = 5; // needs 1+3+3 = 7 runs up to cost 2
+  Options.Cfg.Execution.Strategy = "eliminate-current";
+  // needs 1+3+3 = 7 runs up to cost 2
+  Options.Cfg.Execution.MaxItersPerQuery = 5;
   QueryDriver<escape::EscapeAnalysis> Driver(P, A, Options);
   auto Outcomes = Driver.run({CheckId(0)});
   EXPECT_EQ(Outcomes[0].V, Verdict::Unresolved);
@@ -90,7 +92,7 @@ TEST(Strategy, GreedyGrowProvesButNotMinimally) {
   Program P = parse(ChainSrc);
   escape::EscapeAnalysis A(P);
   TracerOptions Options;
-  Options.Strategy = SearchStrategy::GreedyGrow;
+  Options.Cfg.Execution.Strategy = "greedy-grow";
   QueryDriver<escape::EscapeAnalysis> Driver(P, A, Options);
   auto Outcomes = Driver.run({CheckId(0)});
   EXPECT_EQ(Outcomes[0].V, Verdict::Proven);
@@ -102,7 +104,7 @@ TEST(Strategy, GreedyGrowCannotConcludeImpossibility) {
   Program P = parse(EscapedSrc);
   escape::EscapeAnalysis A(P);
   TracerOptions Options;
-  Options.Strategy = SearchStrategy::GreedyGrow;
+  Options.Cfg.Execution.Strategy = "greedy-grow";
   QueryDriver<escape::EscapeAnalysis> Driver(P, A, Options);
   auto Outcomes = Driver.run({CheckId(0)});
   EXPECT_EQ(Outcomes[0].V, Verdict::Unresolved);
@@ -128,8 +130,8 @@ TEST_P(MultiTraceTest, ConfuserStaysCorrectAndConverges) {
   Program P = parse(ConfuserSrc);
   escape::EscapeAnalysis A(P);
   TracerOptions Options;
-  Options.K = 1;
-  Options.TracesPerIteration = GetParam();
+  Options.Cfg.Execution.K = 1;
+  Options.Cfg.Execution.TracesPerIteration = GetParam();
   QueryDriver<escape::EscapeAnalysis> Driver(P, A, Options);
   auto Outcomes = Driver.run({CheckId(0)});
   EXPECT_EQ(Outcomes[0].V, Verdict::Proven);
@@ -152,7 +154,7 @@ TEST(MultiTrace, ImpossibleQueriesStillDetected) {
   Program P = parse(EscapedSrc);
   escape::EscapeAnalysis A(P);
   TracerOptions Options;
-  Options.TracesPerIteration = 4;
+  Options.Cfg.Execution.TracesPerIteration = 4;
   QueryDriver<escape::EscapeAnalysis> Driver(P, A, Options);
   auto Outcomes = Driver.run({CheckId(0)});
   EXPECT_EQ(Outcomes[0].V, Verdict::Impossible);

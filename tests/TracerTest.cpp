@@ -109,7 +109,7 @@ struct Fig1 {
 TEST(TracerFig1, Check1ProvenWithXY) {
   Fig1 F;
   TracerOptions Options;
-  Options.K = 1; // the paper's walkthrough uses k = 1
+  Options.Cfg.Execution.K = 1; // the paper's walkthrough uses k = 1
   QueryDriver<typestate::TypestateAnalysis> Driver(F.P, *F.A, Options);
   auto Outcomes = Driver.run({CheckId(0)});
   ASSERT_EQ(Outcomes.size(), 1u);
@@ -123,7 +123,7 @@ TEST(TracerFig1, Check1ProvenWithXY) {
 TEST(TracerFig1, Check2Impossible) {
   Fig1 F;
   TracerOptions Options;
-  Options.K = 1;
+  Options.Cfg.Execution.K = 1;
   QueryDriver<typestate::TypestateAnalysis> Driver(F.P, *F.A, Options);
   auto Outcomes = Driver.run({CheckId(1)});
   ASSERT_EQ(Outcomes.size(), 1u);
@@ -168,7 +168,7 @@ TEST(TracerFig6, CheapestIsBothSitesLocal) {
 
   // k = 1 (Figure 6 (b1)/(b2)): three iterations, [], [h1], [h1,h2].
   TracerOptions K1;
-  K1.K = 1;
+  K1.Cfg.Execution.K = 1;
   QueryDriver<escape::EscapeAnalysis> D1(P, A, K1);
   auto O1 = D1.run({CheckId(0)});
   EXPECT_EQ(O1[0].V, Verdict::Proven);
@@ -179,7 +179,7 @@ TEST(TracerFig6, CheapestIsBothSitesLocal) {
   // Without under-approximation (Figure 6 (a)): a single failing iteration
   // suffices to learn h1.E \/ (h2.E /\ h1.L); two iterations total.
   TracerOptions Exact;
-  Exact.K = 0;
+  Exact.Cfg.Execution.K = 0;
   QueryDriver<escape::EscapeAnalysis> D0(P, A, Exact);
   auto O0 = D0.run({CheckId(0)});
   EXPECT_EQ(O0[0].V, Verdict::Proven);
@@ -251,8 +251,8 @@ TEST(TracerEscape, BudgetExhaustionYieldsUnresolved) {
   )");
   escape::EscapeAnalysis A(P);
   TracerOptions Options;
-  Options.K = 1;
-  Options.MaxItersPerQuery = 2; // needs 3
+  Options.Cfg.Execution.K = 1;
+  Options.Cfg.Execution.MaxItersPerQuery = 2; // needs 3
   QueryDriver<escape::EscapeAnalysis> Driver(P, A, Options);
   auto Outcomes = Driver.run({CheckId(0)});
   EXPECT_EQ(Outcomes[0].V, Verdict::Unresolved);
@@ -274,7 +274,7 @@ TEST(TracerEscape, GroupingSharesForwardRuns) {
   escape::EscapeAnalysis A(P);
 
   TracerOptions Grouped;
-  Grouped.K = 1;
+  Grouped.Cfg.Execution.K = 1;
   QueryDriver<escape::EscapeAnalysis> DG(P, A, Grouped);
   auto OG = DG.run({CheckId(0), CheckId(1)});
   EXPECT_EQ(OG[0].V, Verdict::Proven);
@@ -282,7 +282,7 @@ TEST(TracerEscape, GroupingSharesForwardRuns) {
   EXPECT_EQ(DG.stats().ForwardRuns, 3u);
 
   TracerOptions Ungrouped = Grouped;
-  Ungrouped.GroupQueries = false;
+  Ungrouped.Cfg.Execution.GroupQueries = false;
   QueryDriver<escape::EscapeAnalysis> DU(P, A, Ungrouped);
   auto OU = DU.run({CheckId(0), CheckId(1)});
   EXPECT_EQ(OU[0].V, Verdict::Proven);
@@ -350,7 +350,7 @@ TEST(TracerOptimality, EscapeMatchesBruteForceOnRandomPrograms) {
 
     for (unsigned K : {0u, 1u, 5u}) {
       TracerOptions Options;
-      Options.K = K;
+      Options.Cfg.Execution.K = K;
       QueryDriver<escape::EscapeAnalysis> Driver(P, A, Options);
       auto Outcomes = Driver.run({CheckId(0)});
       if (Brute < 0) {
@@ -420,7 +420,7 @@ TEST(TracerOptimality, TypestateMatchesBruteForceOnRandomPrograms) {
 
     for (unsigned K : {0u, 1u, 5u}) {
       TracerOptions Options;
-      Options.K = K;
+      Options.Cfg.Execution.K = K;
       QueryDriver<typestate::TypestateAnalysis> Driver(P, A, Options);
       auto Outcomes = Driver.run({CheckId(0)});
       if (Brute < 0) {

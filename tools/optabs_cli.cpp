@@ -267,7 +267,7 @@ int runEscape(const Program &P, const CliOptions &Opts) {
   escape::EscapeAnalysis A(P);
   tracer::TracerOptions TracerOpts =
       tracer::TracerOptions::fromConfig(Opts.Cfg);
-  TracerOpts.EventTraceLabel = "escape";
+  TracerOpts.Cfg.Observability.EventTraceLabel = "escape";
   tracer::QueryDriver<escape::EscapeAnalysis> Driver(P, A, TracerOpts);
   std::vector<CheckId> Queries;
   for (uint32_t I = 0; I < P.numChecks(); ++I)
@@ -312,7 +312,8 @@ int runTypestate(Program &P, const CliOptions &Opts) {
     typestate::TypestateAnalysis A(P, *Spec, AllocId(H), Pt);
     tracer::TracerOptions PerSite =
         tracer::TracerOptions::fromConfig(Opts.Cfg);
-    PerSite.EventTraceLabel = "typestate/site=" + P.allocName(AllocId(H));
+    PerSite.Cfg.Observability.EventTraceLabel =
+        "typestate/site=" + P.allocName(AllocId(H));
     tracer::QueryDriver<typestate::TypestateAnalysis> Driver(P, A, PerSite);
     std::vector<tracer::QueryOutcome> Outcomes = Driver.run(Queries);
     for (const auto &O : Outcomes)

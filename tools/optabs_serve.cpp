@@ -121,22 +121,27 @@ bool readSessionConfig(const service::JsonLine &Req, Config &C,
   struct UIntField {
     const char *Key;
     uint64_t *Out;
+    uint64_t Max; ///< largest value the Config field holds
   };
+  constexpr uint64_t U32 = UINT32_MAX, U64 = UINT64_MAX;
   uint64_t K = C.Execution.K, MaxIters = C.Execution.MaxItersPerQuery;
   uint64_t Traces = C.Execution.TracesPerIteration;
   uint64_t StepBudget = 0;
   uint64_t MaxPending = C.Service.MaxPendingPerSession;
   uint64_t MaxJobs = C.Service.MaxJobsPerSession;
-  for (UIntField F : {UIntField{"k", &K}, UIntField{"max-iters", &MaxIters},
-                      UIntField{"traces-per-iter", &Traces},
-                      UIntField{"step-budget", &StepBudget},
-                      UIntField{"max-pending", &MaxPending},
-                      UIntField{"max-jobs", &MaxJobs}}) {
+  for (UIntField F :
+       {UIntField{"k", &K, U32}, UIntField{"max-iters", &MaxIters, U32},
+        UIntField{"traces-per-iter", &Traces, U32},
+        UIntField{"step-budget", &StepBudget, U64},
+        UIntField{"max-pending", &MaxPending, U32},
+        UIntField{"max-jobs", &MaxJobs, U64}}) {
     if (!Req.has(F.Key))
       continue;
     auto V = Req.getUInt(F.Key);
-    if (!V) {
-      Err = std::string("field '") + F.Key + "' must be an unsigned integer";
+    if (!V || *V > F.Max) {
+      Err = std::string("field '") + F.Key +
+            "' must be an unsigned integer no larger than " +
+            std::to_string(F.Max);
       return false;
     }
     *F.Out = *V;
@@ -271,9 +276,13 @@ bool handleRequest(ServerState &St, const Config &Base,
     EmitObj(O);
   } else if (*Op == "submit") {
     auto Sess = Req.getUInt("session");
-    auto Check = Req.getUInt("check");
-    if (!Sess || !Check) {
+    if (!Sess || !Req.has("check")) {
       Emit(service::errorLine(*Op, "submit needs 'session' and 'check'"));
+      return true;
+    }
+    std::string RangeErr = service::submitRangeError(Req);
+    if (!RangeErr.empty()) {
+      Emit(service::errorLine(*Op, RangeErr));
       return true;
     }
     auto It = St.Sessions.find(*Sess);
@@ -283,11 +292,9 @@ bool handleRequest(ServerState &St, const Config &Base,
       return true;
     }
     service::JobSpec Job;
-    Job.Check = static_cast<uint32_t>(*Check);
-    if (auto Site = Req.getUInt("site"))
-      Job.Site = static_cast<uint32_t>(*Site);
-    if (auto Prio = Req.getInt("priority"))
-      Job.Priority = static_cast<int32_t>(*Prio);
+    Job.Check = *Req.getUInt32("check");
+    Job.Site = Req.getUInt32("site").value_or(0);
+    Job.Priority = static_cast<int32_t>(Req.getInt("priority").value_or(0));
     // Protocol ingress mints the request's trace identity: the line
     // sequence number, stable across reruns of the same script.
     Job.Parent.TraceId = St.LineSeq;
