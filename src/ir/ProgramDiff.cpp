@@ -324,6 +324,30 @@ ProgramDiff diffPrograms(const ProgramFingerprint &Old,
   return D;
 }
 
+Exactness exactFor(const ProgramFingerprint &From,
+                   const ProgramFingerprint &Live,
+                   const std::vector<BitSet> &LiveFootprints,
+                   ProgramDiff *Diff) {
+  ProgramDiff D = diffPrograms(From, Live);
+  Exactness X;
+  X.Checks = BitSet(LiveFootprints.size());
+  X.Identical = D.Comparable && D.numDirty() == 0 &&
+                From.Procs.size() == Live.Procs.size();
+  if (D.Comparable)
+    for (size_t C = 0; C < LiveFootprints.size(); ++C) {
+      bool Clean = true;
+      D.DirtyProcs.forEach([&](size_t P) {
+        if (P < LiveFootprints[C].size() && LiveFootprints[C].test(P))
+          Clean = false;
+      });
+      if (Clean)
+        X.Checks.set(C);
+    }
+  if (Diff)
+    *Diff = std::move(D);
+  return X;
+}
+
 std::vector<BitSet> checkFootprints(const Program &P) {
   const uint32_t NumProcs = P.numProcs();
   std::vector<BitSet> Before(P.numChecks());

@@ -11,9 +11,9 @@
 /// dependence footprints.
 ///
 /// The analysis service caches whole-program forward runs and learned
-/// verdicts keyed by program epoch. When a program is re-registered, the
-/// diff below decides which cached artifacts are still valid against the
-/// new IR and may migrate into the new epoch instead of being evicted.
+/// verdicts, each stamped with the program version it was computed on.
+/// exactFor below decides, from the two versions' fingerprints, which
+/// checks of the live version such an artifact is still exact for.
 ///
 /// The soundness contract has three pieces:
 ///
@@ -97,7 +97,7 @@ uint64_t procContentHash(const Program &P, ProcId Proc);
 /// The result of diffing a retiring fingerprint against its replacement.
 struct ProgramDiff {
   /// False when entity shapes or main differ: parameter spaces may not
-  /// line up and nothing can migrate. DirtyProcs then covers every
+  /// line up and nothing stays exact. DirtyProcs then covers every
   /// procedure of the new program.
   bool Comparable = false;
 
@@ -116,6 +116,27 @@ struct ProgramDiff {
 /// replacing it.
 ProgramDiff diffPrograms(const ProgramFingerprint &Old,
                          const ProgramFingerprint &New);
+
+/// What an artifact computed on one program version is still exact for on
+/// the live version: the one cache-validity rule (see exactFor).
+struct Exactness {
+  /// Over the live version's checks: set where the artifact is exact.
+  BitSet Checks;
+  /// Whole-program identity: comparable, the same procedures, and none of
+  /// them dirty. Forward runs that go to or come from disk need this.
+  bool Identical = false;
+};
+
+/// The one cache-validity rule. An artifact (a cached forward run, a stored
+/// verdict, a queued job) computed on version \p From is exact on \p Live
+/// for every check C such that the two versions are comparable and no
+/// procedure of C's live dependence footprint (\p LiveFootprints[C], from
+/// checkFootprints) is dirty. \p Diff, when non-null, receives the diff
+/// the answer was derived from.
+Exactness exactFor(const ProgramFingerprint &From,
+                   const ProgramFingerprint &Live,
+                   const std::vector<BitSet> &LiveFootprints,
+                   ProgramDiff *Diff = nullptr);
 
 /// For every check of \p P, the set of procedures (as a BitSet over
 /// procedure indices) whose commands may execute before control reaches

@@ -21,11 +21,13 @@
 ///  * One process-wide support::ThreadPool, borrowed by every driver run
 ///    for its parallel phases (QueryDriver::borrowExecution).
 ///  * One ForwardRunCache shard per (program, client family), shared
-///    across sessions and batches. Cache keys carry the program's
-///    registration epoch, so re-registering a program under the same name
-///    invalidates cleanly: new keys never match stale runs, and the stale
-///    entries (plus the retired IR they reference) are reclaimed by the
-///    scheduler before the next batch on that program.
+///    across sessions and batches and across re-registrations of the
+///    name. Every cached run, stored verdict and queued job carries the
+///    epoch of the program version it came from, and one rule
+///    (ir::exactFor) decides which checks of the live version it is still
+///    exact for; runs exact for none (plus the retired IR they reference)
+///    are reclaimed by the scheduler before the next batch on that
+///    program.
 ///  * A single scheduler thread executes batches one at a time: the
 ///    caches keep their single-threaded contract, verdicts stay bitwise
 ///    identical to standalone driver runs, and intra-batch parallelism
@@ -110,9 +112,8 @@ struct RegisterResult {
   /// True when this was a re-registration (the name was already bound).
   bool ReRegistered = false;
   /// True when the retiring and new versions were comparable and the diff
-  /// drove invalidation (Config::ServiceConfig::IncrementalReRegister on);
-  /// false on first registration, incomparable versions, or with the
-  /// feature off - those fall back to full invalidation.
+  /// drove invalidation; false on first registration and for incomparable
+  /// versions, which invalidate everything.
   bool Incremental = false;
   /// Procedures whose content (or liveness) changed, by name, when
   /// Incremental; empty otherwise. DirtyChecks counts the check sites
@@ -181,12 +182,12 @@ struct ServiceStats {
   uint64_t CacheMisses = 0;
   uint64_t CacheEvictions = 0;
   uint64_t StaleEntriesInvalidated = 0; ///< re-registration evictions
-  /// Incremental re-registration accounting (ir/ProgramDiff.h): cached
-  /// artifacts (forward runs and stored verdicts) carried into the new
-  /// epoch vs discarded because a dirty procedure sat in their dependence
-  /// footprint; ProceduresDirty sums diff sizes across re-registrations
-  /// and VerdictsReplayed counts jobs answered from a migrated verdict
-  /// without running the driver at all.
+  /// Re-registration accounting (ir/ProgramDiff.h): cached artifacts
+  /// (forward runs and stored verdicts) kept because they are still exact
+  /// for some check (a verdict: for its own check) vs discarded;
+  /// ProceduresDirty sums diff sizes across re-registrations and
+  /// VerdictsReplayed counts jobs answered from a stored verdict without
+  /// running the driver at all.
   uint64_t EntriesMigrated = 0;
   uint64_t EntriesInvalidated = 0;
   uint64_t ProceduresDirty = 0;
@@ -357,24 +358,18 @@ public:
   AnalysisService &operator=(const AnalysisService &) = delete;
 
   /// Parses and (re-)registers a program under \p Name. Re-registration
-  /// bumps the epoch; what happens to queued jobs and cached artifacts
-  /// depends on Config::ServiceConfig::IncrementalReRegister:
-  ///
-  ///  * Incremental (default): the new version is diffed against the
-  ///    retiring one per procedure (ir/ProgramDiff.h). Cached forward runs
-  ///    and stored verdicts whose dependence footprint is entirely clean
-  ///    migrate into the new epoch; only artifacts touching a dirty
-  ///    procedure are discarded. Still-queued jobs survive when their
-  ///    check's footprint is clean and fail with a structured stale-epoch
-  ///    reason otherwise. Verdicts after an incremental re-registration
-  ///    are bitwise identical to a cold re-registration; the service
-  ///    replays whole stored verdicts rather than seeding viable sets
-  ///    (seeding shortens the search and changes reported iteration
-  ///    counts - see tracer::QueryDriver::seedViableSets).
-  ///  * Full (flag off, incomparable versions, or first registration):
-  ///    every cached artifact of older epochs is invalidated before the
-  ///    next batch and every still-queued job against the retiring epoch
-  ///    fails with the stale-epoch reason.
+  /// bumps the epoch and re-derives, per procedure (ir/ProgramDiff.h),
+  /// which checks every cached artifact is still exact for: a cached
+  /// forward run, stored verdict or queued job computed on an earlier
+  /// version serves check C exactly when that version and the new one are
+  /// comparable and no procedure of C's dependence footprint differs
+  /// between them. Runs exact for no check are discarded, as are stored
+  /// verdicts not exact for their own check; still-queued jobs whose check
+  /// is not exact fail with a structured stale-epoch reason. Incomparable
+  /// versions (entity tables or main moved) therefore invalidate
+  /// everything. Verdicts afterwards are bitwise identical to a cold
+  /// registration of the new text: the service replays whole stored
+  /// verdicts and serves only exact forward runs.
   RegisterResult registerProgram(const std::string &Name,
                                  const std::string &IrText);
 
@@ -416,9 +411,9 @@ public:
   ///                \p Program (every program when empty) to
   ///                Config::ServiceConfig::CacheDir
   ///  * "load"    - warm the caches from snapshots on disk; entries are
-  ///                validated against the live program fingerprint exactly
-  ///                like a re-registration diff (ir/ProgramDiff.h) and
-  ///                stale or corrupt artifacts are skipped with notes
+  ///                validated against the live program fingerprint by the
+  ///                re-registration rule (ir::exactFor) and stale or
+  ///                corrupt artifacts are skipped with notes
   ///  * "spill"   - demote every unpinned cached run to a spill file (or
   ///                plain-evict when no cache_dir is configured)
   ///  * "evict"   - drop every unpinned cached run without spilling
@@ -426,8 +421,7 @@ public:
   /// Runs on the scheduler thread between batches, so cache invariants
   /// (single-threaded shards, epoch pinning) hold throughout; the call
   /// blocks until the operation completes. persist/load require
-  /// service.cache_dir and service.incremental_re_register (fingerprints
-  /// are what make a loaded entry provably current).
+  /// service.cache_dir.
   CacheOpResult cacheOp(const std::string &Action,
                         const std::string &Program = std::string());
 

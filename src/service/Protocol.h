@@ -46,7 +46,7 @@
 ///        with a structured note, never served), "spill" (demote every
 ///        unpinned forward run to the spill tier on disk), or "evict"
 ///        (drop unpinned forward runs without writing anything).
-///        "persist"/"load" require --cache-dir and --incremental=1;
+///        "persist"/"load" require --cache-dir;
 ///        the response carries the per-action counters plus a "notes"
 ///        field joining every skip/conflict reason with ';'. The shard
 ///        supervisor fans the op out to every worker and sums the

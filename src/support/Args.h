@@ -36,6 +36,23 @@
 namespace optabs {
 namespace support {
 
+/// Parses \p Text fully as a decimal unsigned integer no larger than
+/// \p Max; false on any junk (signs included) and on values above \p Max.
+/// The one unsigned parser behind command-line flags and OPTABS_*
+/// environment overrides.
+inline bool parseU64(const std::string &Text, uint64_t &Out,
+                     uint64_t Max = std::numeric_limits<uint64_t>::max()) {
+  if (Text.empty() || Text[0] == '-')
+    return false;
+  char *End = nullptr;
+  errno = 0;
+  unsigned long long V = std::strtoull(Text.c_str(), &End, 10);
+  if (errno != 0 || End != Text.c_str() + Text.size() || V > Max)
+    return false;
+  Out = static_cast<uint64_t>(V);
+  return true;
+}
+
 class ArgParser {
 public:
   /// A boolean switch: `--name` (no value).
@@ -67,8 +84,8 @@ public:
     Specs.push_back({Name, Help, /*TakesValue=*/true,
                      [Out](const std::string &V, std::string &Err) {
                        uint64_t N;
-                       if (!parseU64(V, N) ||
-                           N > std::numeric_limits<UIntT>::max()) {
+                       if (!parseU64(V, N,
+                                     std::numeric_limits<UIntT>::max())) {
                          Err = "expected an unsigned integer no larger "
                                "than " +
                                std::to_string(
@@ -162,18 +179,6 @@ private:
     bool TakesValue;
     std::function<bool(const std::string &, std::string &)> Apply;
   };
-
-  static bool parseU64(const std::string &Text, uint64_t &Out) {
-    if (Text.empty() || Text[0] == '-')
-      return false;
-    char *End = nullptr;
-    errno = 0;
-    unsigned long long V = std::strtoull(Text.c_str(), &End, 10);
-    if (errno != 0 || End != Text.c_str() + Text.size())
-      return false;
-    Out = static_cast<uint64_t>(V);
-    return true;
-  }
 
   const Spec *findSpec(const std::string &Name) const {
     for (const Spec &S : Specs)

@@ -1,9 +1,11 @@
 //===- Config.cpp - Unified public configuration surface ----------------------===//
 
 #include "support/Config.h"
+#include "support/Args.h"
 
 #include <cerrno>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
 
 namespace optabs {
@@ -16,21 +18,7 @@ void addError(std::vector<ConfigError> *Errors, const std::string &Field,
     Errors->push_back(ConfigError{Field, Message});
 }
 
-/// Parses \p Text fully as an unsigned integer no larger than \p Max;
-/// false on any junk and on values the destination cannot hold.
-bool parseU64(const std::string &Text, uint64_t &Out,
-              uint64_t Max = std::numeric_limits<uint64_t>::max()) {
-  if (Text.empty())
-    return false;
-  char *End = nullptr;
-  errno = 0;
-  unsigned long long V = std::strtoull(Text.c_str(), &End, 10);
-  if (errno != 0 || End != Text.c_str() + Text.size() || Text[0] == '-' ||
-      V > Max)
-    return false;
-  Out = static_cast<uint64_t>(V);
-  return true;
-}
+using support::parseU64;
 
 bool parseDouble(const std::string &Text, double &Out) {
   if (Text.empty())
@@ -81,8 +69,10 @@ std::string formatConfigErrors(const std::vector<ConfigError> &Errors) {
 }
 
 bool Config::isKnownStrategy(const std::string &Name) {
-  return Name == "tracer" || Name == "eliminate-current" ||
-         Name == "greedy-grow";
+  for (const char *Known : StrategyNames)
+    if (Name == Known)
+      return true;
+  return false;
 }
 
 Config Config::fromEnv(std::vector<ConfigError> *Errors) {
@@ -135,8 +125,6 @@ Config Config::fromEnv(std::vector<ConfigError> *Errors) {
                 C.Budgets.MemoryBudgetBytes = N * MiB;
                 return true;
               });
-  envUInt("OPTABS_INCREMENTAL", "service.incremental_re_register", Errors,
-          C.Service.IncrementalReRegister);
   envUInt("OPTABS_SERVICE_TRACE", "observability.service_trace", Errors,
           C.Observability.ServiceTrace);
   if (const char *Dir = std::getenv("OPTABS_CACHE_DIR"))
@@ -155,10 +143,15 @@ std::vector<ConfigError> Config::validate() const {
   };
 
   // (1) Strategy must name one of the three implemented searches.
-  if (!isKnownStrategy(Execution.Strategy))
-    Reject("execution.strategy",
-           "unknown strategy '" + Execution.Strategy +
-               "' (expected tracer, eliminate-current or greedy-grow)");
+  if (!isKnownStrategy(Execution.Strategy)) {
+    std::string Expected;
+    const size_t N = std::size(StrategyNames);
+    for (size_t I = 0; I < N; ++I)
+      Expected += std::string(I == 0 ? "" : I + 1 == N ? " or " : ", ") +
+                  StrategyNames[I];
+    Reject("execution.strategy", "unknown strategy '" + Execution.Strategy +
+                                     "' (expected " + Expected + ")");
+  }
   // (2)/(3) Degenerate loop bounds that would make the CEGAR loop a no-op.
   if (Execution.TracesPerIteration == 0)
     Reject("execution.traces_per_iteration",

@@ -82,7 +82,7 @@ struct Config {
     bool GroupQueries = true;        ///< §6 unviable-set grouping
     size_t ProductSoftCap = 4096;    ///< Dnf::product growth cap
     unsigned TracesPerIteration = 1; ///< counterexamples per failed round
-    /// Strategy name: "tracer", "eliminate-current" or "greedy-grow".
+    /// Strategy name, one of StrategyNames.
     std::string Strategy = "tracer";
     /// Worker threads (1 = sequential, 0 = hardware concurrency).
     unsigned NumThreads = 1;
@@ -145,15 +145,6 @@ struct Config {
     unsigned MaxSessions = 64;          ///< concurrently open sessions
     unsigned MaxPendingPerSession = 1024; ///< queued jobs before rejection
     uint64_t MaxJobsPerSession = 0;     ///< lifetime job quota; 0 = unlimited
-    /// Diff programs on re-registration and migrate cached runs / stored
-    /// verdicts whose dependence footprint is untouched into the new epoch
-    /// (see ir/ProgramDiff.h). Off restores the historical evict-everything
-    /// invalidation exactly: every re-registration discards every cached
-    /// artifact of older epochs. (Independently of this flag, jobs still
-    /// queued against a retiring epoch fail with a structured stale-epoch
-    /// reason unless an incremental diff proves their check untouched;
-    /// silently re-running them against different IR was a bug.)
-    bool IncrementalReRegister = true;
     /// Directory for the persistent cache tier (snapshots written by the
     /// `cache` op / shutdown persist, spill files written under memory
     /// pressure, warm loads on registration). Empty disables every
@@ -187,9 +178,8 @@ struct Config {
   /// OPTABS_METRICS, OPTABS_CHROME_TRACE, OPTABS_EVENT_TRACE,
   /// OPTABS_THREADS, OPTABS_K, OPTABS_STRATEGY, OPTABS_STEP_BUDGET (arms
   /// all three step budgets), OPTABS_TIME_BUDGET_SECONDS,
-  /// OPTABS_CACHE_CAPACITY, OPTABS_MEMORY_BUDGET_MB, OPTABS_INCREMENTAL
-  /// (0/1, service.incremental_re_register), OPTABS_SERVICE_TRACE (0/1,
-  /// observability.service_trace), OPTABS_CACHE_DIR (service.cache_dir),
+  /// OPTABS_CACHE_CAPACITY, OPTABS_MEMORY_BUDGET_MB, OPTABS_SERVICE_TRACE
+  /// (0/1, observability.service_trace), OPTABS_CACHE_DIR (service.cache_dir),
   /// OPTABS_SPILL_BYTES (service.spill_bytes), OPTABS_PERSIST_ON_SHUTDOWN
   /// (0/1, service.persist_on_shutdown). Malformed values are
   /// reported through \p Errors (when non-null) and leave the default in
@@ -201,8 +191,13 @@ struct Config {
   /// the documented rejected combinations.
   std::vector<ConfigError> validate() const;
 
-  /// True when \p Name is a known strategy ("tracer", "eliminate-current",
-  /// "greedy-grow").
+  /// The implemented search strategies, by name, in
+  /// tracer::SearchStrategy order: the one list validation, the
+  /// environment and the driver all read.
+  static constexpr const char *StrategyNames[] = {
+      "tracer", "eliminate-current", "greedy-grow"};
+
+  /// True when \p Name is one of StrategyNames.
   static bool isKnownStrategy(const std::string &Name);
 };
 

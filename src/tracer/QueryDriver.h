@@ -61,6 +61,7 @@
 
 #include "dataflow/Forward.h"
 #include "ir/Liveness.h"
+#include "ir/ProgramDiff.h"
 #include "meta/Backward.h"
 #include "support/Budget.h"
 #include "support/Config.h"
@@ -75,6 +76,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -129,7 +131,8 @@ struct QueryOutcome {
 
 /// How the next abstraction is chosen after a failed proof attempt. The
 /// non-default strategies are the baselines the paper's Related Work
-/// contrasts TRACER with.
+/// contrasts TRACER with. Enumerators follow Config::StrategyNames, the
+/// one list of strategy names.
 enum class SearchStrategy : uint8_t {
   /// Algorithm 1: backward meta-analysis eliminates whole sets of
   /// abstractions; next is a minimum-cost viable one.
@@ -146,30 +149,21 @@ enum class SearchStrategy : uint8_t {
 };
 
 inline const char *strategyName(SearchStrategy S) {
-  switch (S) {
-  case SearchStrategy::Tracer:
-    return "tracer";
-  case SearchStrategy::EliminateCurrent:
-    return "eliminate-current";
-  case SearchStrategy::GreedyGrow:
-    return "greedy-grow";
-  }
-  return "?";
+  size_t I = static_cast<size_t>(S);
+  return I < std::size(Config::StrategyNames) ? Config::StrategyNames[I]
+                                              : "?";
 }
 
 /// Parses a strategy name; false (and \p Out untouched) when unknown. The
 /// inverse of strategyName, shared by the CLI, the service protocol, and
 /// the Config bridge.
 inline bool parseStrategy(const std::string &Name, SearchStrategy &Out) {
-  if (Name == "tracer")
-    Out = SearchStrategy::Tracer;
-  else if (Name == "eliminate-current")
-    Out = SearchStrategy::EliminateCurrent;
-  else if (Name == "greedy-grow")
-    Out = SearchStrategy::GreedyGrow;
-  else
-    return false;
-  return true;
+  for (size_t I = 0; I < std::size(Config::StrategyNames); ++I)
+    if (Name == Config::StrategyNames[I]) {
+      Out = static_cast<SearchStrategy>(I);
+      return true;
+    }
+  return false;
 }
 
 /// Per-run driver options: the configuration (support/Config.h; defaults
@@ -194,6 +188,33 @@ struct TracerOptions {
 
   static TracerOptions fromConfig(const optabs::Config &C) {
     return {C, {}, {}};
+  }
+};
+
+/// Which runs of a borrowed (service-shared) forward-run cache a driver may
+/// serve. Every cached run carries the data epoch of the program version
+/// it was computed on; Versions maps each such epoch to what
+/// ir::exactFor, the one cache-validity rule, says about that version
+/// against the live one. A run may serve a query exactly when its version
+/// is exact for the query's check. Runs the driver computes are stamped
+/// with Version, the live registration.
+struct RunValidity {
+  uint64_t Version = 0;
+  std::map<uint64_t, ir::Exactness> Versions; ///< by data epoch
+
+  /// What version \p DataEpoch is exact for; null (exact for nothing)
+  /// when unknown.
+  const ir::Exactness *of(uint64_t DataEpoch) const {
+    auto It = Versions.find(DataEpoch);
+    return It == Versions.end() ? nullptr : &It->second;
+  }
+  bool exact(uint64_t DataEpoch, size_t Check) const {
+    const ir::Exactness *X = of(DataEpoch);
+    return X && Check < X->Checks.size() && X->Checks.test(Check);
+  }
+  bool identical(uint64_t DataEpoch) const {
+    const ir::Exactness *X = of(DataEpoch);
+    return X && X->Identical;
   }
 };
 
@@ -275,12 +296,14 @@ public:
   /// one pool and one cache shard across every session of a program)
   /// instead of the driver's private ones. Under borrowed execution the
   /// driver never resets the cache's capacity or counters (DriverStats
-  /// reports per-run deltas instead), stamps \p ProgramEpoch / \p Family
-  /// into every cache key so shards shared across program registrations
-  /// and analysis families stay disjoint, and sizes its per-worker scratch
-  /// from the borrowed pool (Exec.NumThreads is ignored). The
-  /// borrowed cache's single-threaded contract carries over: the owner
-  /// must not run two drivers against one cache concurrently.
+  /// reports per-run deltas instead), stamps \p Family into every cache
+  /// key so analysis families sharing a shard stay disjoint, serves a
+  /// cached run only when \p Validity says its program version is exact
+  /// for every check of the group it serves (a null \p Validity accepts
+  /// every run), and sizes its per-worker scratch from the borrowed pool
+  /// (Exec.NumThreads is ignored). The borrowed cache's single-threaded
+  /// contract carries over: the owner must not run two drivers against
+  /// one cache concurrently, nor change \p Validity during a run.
   /// The trailing trace parameters thread the service's request context
   /// into the run: while \p TraceRecorder is non-null, the borrowed
   /// cache's lookups during run() are recorded as trace events attributed
@@ -290,31 +313,18 @@ public:
   /// lookup.
   void borrowExecution(support::ThreadPool *Pool,
                        ForwardRunCache<Forward> *SharedCache,
-                       uint64_t ProgramEpoch = 0, uint64_t Family = 0,
-                       const std::vector<uint64_t> *CheckMinDataEpochs =
-                           nullptr,
+                       uint64_t Family = 0,
+                       const RunValidity *Validity = nullptr,
                        support::FlightRecorder *TraceRecorder = nullptr,
                        support::TraceContext TraceCtx = {},
                        uint64_t TraceBatch = 0) {
     BorrowedPool = Pool;
     BorrowedCache = SharedCache;
-    CacheEpochScope = ProgramEpoch;
     CacheFamilyScope = Family;
-    this->CheckMinDataEpochs = CheckMinDataEpochs;
+    this->Validity = Validity;
     if (SharedCache)
       SharedCache->setTraceSink(TraceRecorder, TraceCtx, TraceBatch);
   }
-
-  /// Incremental re-analysis: seeds the per-query viable CNFs of the next
-  /// run() call (parallel to its Queries vector) with clauses learned by a
-  /// previous run. Sound only when every seeded clause was learned for the
-  /// same check against IR whose dependence footprint is unchanged (see
-  /// ir/ProgramDiff.h); the caller owns that argument. Seeding shortens
-  /// the CEGAR search without changing final verdicts, but the per-query
-  /// iteration counts it reports will reflect the shortened search - a
-  /// caller that needs cold-identical results must replay stored verdicts
-  /// instead (the analysis service does).
-  void seedViableSets(std::vector<Cnf> Seeds) { SeedViable = std::move(Seeds); }
 
   /// Resolves all \p Queries; the result vector is parallel to the input.
   std::vector<QueryOutcome> run(const std::vector<ir::CheckId> &Queries) {
@@ -393,10 +403,6 @@ private:
       Outcomes[I].Check = Queries[I];
       Recs[I].NotQ = A.notQ(Queries[I]);
     }
-    if (SeedViable.size() == Queries.size())
-      for (size_t I = 0; I < Queries.size(); ++I)
-        Recs[I].Viable = std::move(SeedViable[I]);
-    SeedViable.clear(); // one-shot, even on a size mismatch
 
     unsigned Workers = effectiveWorkers();
     ensurePool(Workers);
@@ -567,7 +573,6 @@ private:
         std::optional<support::Exhausted> Exhaustion; ///< stage A cut short
         double BuildSeconds = 0;
         size_t Users = 0;
-        uint64_t MinData = 0;  ///< strongest freshness requested so far
         uint64_t ServedData = 0; ///< data epoch of a cache-served run
         bool FromCache = false;  ///< Run (if set) came from the cache
       };
@@ -598,44 +603,36 @@ private:
           Plan.Bits = std::move(Model->Assignment);
           CacheKey Key;
           Key.Bits = Plan.Bits;
-          Key.ProgramEpoch = CacheEpochScope;
           Key.Family = CacheFamilyScope;
           // Without grouping, each query keeps its own runs (the §6
           // baseline); the salt separates them in the shared cache.
           Key.Salt = Exec.GroupQueries
                          ? 0
                          : static_cast<uint32_t>(Members[0]) + 1;
-          // Freshness floor for this group: a cached run computed before
-          // the latest IR edit that touched any member's dependence
-          // footprint cannot be served (service-injected; 0 standalone).
-          uint64_t MinData = 0;
-          if (CheckMinDataEpochs)
-            for (size_t M : Plan.Members)
-              MinData = std::max(
-                  MinData, (*CheckMinDataEpochs)[Queries[M].index()]);
+          // A cached run may serve this group only when its program
+          // version is exact for every member's check.
+          auto Fresh = [&](uint64_t DataEpoch) {
+            return freshFor(DataEpoch, Plan.Members, Queries);
+          };
           auto [It, IsNew] = SlotIndex.try_emplace(Key, Slots.size());
           if (IsNew) {
             RunSlot Slot;
             Slot.Key = std::move(Key);
             Slot.Abs = Plan.Abs;
-            Slot.MinData = MinData;
-            Slot.Run = cache().lookup(Slot.Key, MinData, &Slot.ServedData);
+            Slot.Run = cache().lookup(Slot.Key, Fresh, &Slot.ServedData);
             Slot.FromCache = Slot.Run != nullptr;
             Slots.push_back(std::move(Slot));
           } else if (RunSlot &Joined = Slots[It->second];
-                     MinData > Joined.MinData && Joined.Run &&
-                     Joined.FromCache && Joined.ServedData < MinData) {
-            // A second group needs the same abstraction but fresher data
-            // than the cached run an earlier group accepted: discard it
-            // and rebuild (the rebuilt run serves both groups).
-            Joined.MinData = MinData;
+                     Joined.Run && Joined.FromCache &&
+                     !Fresh(Joined.ServedData)) {
+            // A second group needs the same abstraction but the cached run
+            // an earlier group accepted is not exact for its checks:
+            // discard it and rebuild (the rebuilt run serves both groups).
             Joined.Run = nullptr;
             Joined.FromCache = false;
             cache().noteStaleMiss();
           } else {
             // A second group solved to the same abstraction this round.
-            Slots[It->second].MinData =
-                std::max(Slots[It->second].MinData, MinData);
             cache().noteSharedHit();
           }
           Plan.Slot = It->second;
@@ -701,7 +698,7 @@ private:
           }
           Slots[S].Run = cache().insert(Slots[S].Key,
                                         std::move(Slots[S].Fresh),
-                                        CacheEpochScope);
+                                        dataEpoch());
         } catch (const std::bad_alloc &) {
           Slots[S].Exhaustion =
               support::Exhausted{support::Resource::Memory, "cache.insert"};
@@ -1171,6 +1168,21 @@ public:
 private:
   using CacheKey = typename ForwardRunCache<Forward>::Key;
 
+  /// True when a cached run of \p DataEpoch is exact for the checks of
+  /// every query in \p Members (indices into \p Queries).
+  bool freshFor(uint64_t DataEpoch, const std::vector<size_t> &Members,
+                const std::vector<ir::CheckId> &Queries) const {
+    if (!Validity)
+      return true;
+    for (size_t M : Members)
+      if (!Validity->exact(DataEpoch, Queries[M].index()))
+        return false;
+    return true;
+  }
+
+  /// The data epoch this driver's own runs are stamped with.
+  uint64_t dataEpoch() const { return Validity ? Validity->Version : 0; }
+
   /// The GreedyGrow baseline: per query, monotonically switch on every
   /// parameter bit the failed proof is blamed on. Never shrinks, never
   /// optimizes, and cannot conclude impossibility (failures with no new
@@ -1188,13 +1200,15 @@ private:
     // Returns nullptr (with GreedyExhaustion set) when the fixpoint was cut
     // short by its budget: the partial run is neither cached nor usable.
     std::optional<support::Exhausted> GreedyExhaustion;
-    uint64_t CurMinData = 0; // freshness floor of the query being served
+    std::vector<size_t> Serving{0}; // the query GetRun currently serves
+    auto Fresh = [&](uint64_t DataEpoch) {
+      return freshFor(DataEpoch, Serving, Queries);
+    };
     auto GetRun = [&](const std::vector<bool> &Bits) -> Forward * {
       CacheKey Key;
       Key.Bits = Bits;
-      Key.ProgramEpoch = CacheEpochScope;
       Key.Family = CacheFamilyScope;
-      if (Forward *Hit = cache().lookup(Key, CurMinData))
+      if (Forward *Hit = cache().lookup(Key, Fresh))
         return Hit;
       support::BudgetGate Gate("forward.visit", Budgets.ForwardStepBudget,
                                CancelTok.get(), 0, &Sink);
@@ -1206,16 +1220,14 @@ private:
         GreedyExhaustion = *Run->exhaustion();
         return nullptr;
       }
-      return cache().insert(std::move(Key), std::move(Run), CacheEpochScope);
+      return cache().insert(std::move(Key), std::move(Run), dataEpoch());
     };
 
     std::vector<QueryOutcome> Outcomes(Queries.size());
     for (size_t I = 0; I < Queries.size(); ++I) {
       QueryOutcome &Out = Outcomes[I];
       Out.Check = Queries[I];
-      CurMinData = CheckMinDataEpochs
-                       ? (*CheckMinDataEpochs)[Out.Check.index()]
-                       : 0;
+      Serving[0] = I;
       Timer QueryTimer;
       formula::Dnf NotQ = A.notQ(Out.Check);
       std::vector<bool> Bits(A.numParamBits(), false);
@@ -1465,13 +1477,10 @@ private:
   /// Borrowed execution context (see borrowExecution); null = self-owned.
   ForwardRunCache<Forward> *BorrowedCache = nullptr;
   support::ThreadPool *BorrowedPool = nullptr;
-  uint64_t CacheEpochScope = 0;
   uint64_t CacheFamilyScope = 0;
-  /// Per-check freshness floors (indexed by CheckId), injected by the
-  /// service on incremental re-registrations; null = accept any data epoch.
-  const std::vector<uint64_t> *CheckMinDataEpochs = nullptr;
-  /// One-shot viable-CNF seeds for the next run() (see seedViableSets).
-  std::vector<Cnf> SeedViable;
+  /// What each cached run's program version is exact for (see
+  /// borrowExecution); null = every run is exact.
+  const RunValidity *Validity = nullptr;
   /// Counter snapshot at run() entry; publishCacheCounters reports deltas.
   ForwardCacheCounters BaseCounters;
   support::InvariantSink Sink;

@@ -315,51 +315,36 @@ TEST(ForwardRunCache, EvictUnpinnedReleasesBytesAndCountsEvictions) {
   EXPECT_EQ(*Pinned, 3);
 }
 
-TEST(ForwardRunCache, MinDataEpochTreatsOlderEntriesAsMisses) {
+TEST(ForwardRunCache, FreshnessTestTreatsInexactEntriesAsMisses) {
   IntCache Cache;
   IntCache::Key K = key({true});
-  K.ProgramEpoch = 4;
   Cache.insert(K, std::make_unique<int>(1), /*DataEpoch=*/2);
+  // The caller's freshness test sees the entry's data epoch: here version
+  // 2 is exact for the requesting checks, version 3 is not.
+  auto ExactAt2 = [](uint64_t DataEpoch) { return DataEpoch == 2; };
+  auto Never = [](uint64_t) { return false; };
   uint64_t Served = 0;
-  // Fresh enough for a check last dirtied at epoch 2, stale for one
-  // dirtied at epoch 3.
-  EXPECT_NE(Cache.lookup(K, /*MinDataEpoch=*/2, &Served), nullptr);
+  EXPECT_NE(Cache.lookup(K, ExactAt2, &Served), nullptr);
   EXPECT_EQ(Served, 2u);
-  EXPECT_EQ(Cache.lookup(K, /*MinDataEpoch=*/3), nullptr);
+  EXPECT_EQ(Cache.lookup(K, Never), nullptr);
   EXPECT_EQ(Cache.counters().Misses, 1u);
   // Recomputing against the new version overwrites in place.
   Cache.insert(K, std::make_unique<int>(9), /*DataEpoch=*/4);
-  EXPECT_NE(Cache.lookup(K, /*MinDataEpoch=*/3), nullptr);
+  EXPECT_EQ(Cache.lookup(K, ExactAt2), nullptr);
+  EXPECT_EQ(*Cache.lookup(K, [](uint64_t E) { return E == 4; }), 9);
+  EXPECT_EQ(*Cache.lookup(K), 9); // no test: every entry is fresh
 }
 
-TEST(ForwardRunCache, MigrateEpochCarriesRunsBytesAndDataEpochs) {
+TEST(ForwardRunCache, EvictDataWhereDropsEntriesByDataEpoch) {
   IntCache Cache;
-  IntCache::Key A = key({true});
-  A.ProgramEpoch = 1;
-  IntCache::Key B = key({false});
-  B.ProgramEpoch = 1;
-  IntCache::Key Other = key({true});
-  Other.ProgramEpoch = 7; // a different program's entries stay put
-  Cache.insert(A, std::make_unique<int>(1), /*DataEpoch=*/1);
-  Cache.insert(B, std::make_unique<int>(2), /*DataEpoch=*/1);
-  Cache.insert(Other, std::make_unique<int>(3), /*DataEpoch=*/7);
-  uint64_t BytesBefore = Cache.residentBytes();
-
-  EXPECT_EQ(Cache.migrateEpoch(1, 2), 2u);
-  EXPECT_EQ(Cache.size(), 3u);
-  EXPECT_EQ(Cache.residentBytes(), BytesBefore);
-  Cache.beginEpoch();
-  EXPECT_EQ(Cache.lookup(A), nullptr); // old epoch keys are gone
-  A.ProgramEpoch = B.ProgramEpoch = 2;
-  EXPECT_EQ(*Cache.lookup(A), 1);
-  EXPECT_EQ(*Cache.lookup(B), 2);
-  EXPECT_EQ(*Cache.lookup(Other), 3);
-  // Data epochs rode along (the runs were computed on version 1's IR and
-  // remain exact for checks not dirtied since).
-  uint64_t Served = 0;
-  EXPECT_NE(Cache.lookup(A, /*MinDataEpoch=*/1, &Served), nullptr);
-  EXPECT_EQ(Served, 1u);
-  EXPECT_EQ(Cache.migrateEpoch(3, 3), 0u); // self-migration is a no-op
+  Cache.insert(key({true}), std::make_unique<int>(1), /*DataEpoch=*/1);
+  Cache.insert(key({false}), std::make_unique<int>(2), /*DataEpoch=*/2);
+  Cache.insert(key({true, true}), std::make_unique<int>(3), /*DataEpoch=*/1);
+  EXPECT_EQ(Cache.evictDataWhere([](uint64_t E) { return E == 1; }), 2u);
+  EXPECT_EQ(Cache.size(), 1u);
+  EXPECT_EQ(Cache.residentBytes(), sizeof(int));
+  EXPECT_EQ(Cache.counters().Evictions, 2u);
+  EXPECT_EQ(*Cache.lookup(key({false})), 2);
 }
 
 TEST(ForwardRunCache, InsertOverResidentKeyReplacesInPlace) {
